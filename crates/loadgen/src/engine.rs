@@ -1,6 +1,6 @@
 //! The traffic engine: a discrete-event load generator over the cluster.
 //!
-//! One [`run`] call builds a real [`Cluster`] (Monitor-Node memory
+//! One [`Run::execute`] call builds a real [`Cluster`] (Monitor-Node memory
 //! borrowing included), provisions the remote tier — **statically** at
 //! setup, or **elastically** through a [`venice_lease::LeaseManager`]
 //! that borrows and releases capacity *during* the run as per-node queue
@@ -27,6 +27,7 @@
 //! throughput` times the two side by side into `BENCH_perf.json`.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use venice::cluster::Cluster;
 use venice::{MemoryLease, NodeId};
@@ -46,6 +47,7 @@ use crate::arrival::{exponential, ArrivalProcess};
 use crate::faults::{FaultModel, FaultPlan, FaultTransition, NoFaults};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
+use crate::sharded::ShardSlice;
 use crate::stacks::RemoteStack;
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
@@ -163,15 +165,15 @@ pub struct EngineMetrics {
 /// per-class tables on the world, not here — the slab entry stays at
 /// 48 bytes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Request {
-    pub(crate) seq: u64,
-    pub(crate) class: u32,
-    pub(crate) user: u64,
-    pub(crate) node: u16,
-    pub(crate) arrival: Time,
-    pub(crate) service: Time,
+struct Request {
+    seq: u64,
+    class: u32,
+    user: u64,
+    node: u16,
+    arrival: Time,
+    service: Time,
     /// Newest lease generation on the serving node at arrival.
-    pub(crate) generation: u64,
+    generation: u64,
 }
 
 /// Free-list slab pooling in-flight [`Request`] state.
@@ -181,13 +183,13 @@ pub(crate) struct Request {
 /// slot index. Freed slots are reused LIFO, so the slab stops growing
 /// once it reaches the peak in-flight population and the steady state
 /// allocates nothing.
-pub(crate) struct RequestSlab {
+struct RequestSlab {
     entries: Vec<Request>,
     free: Vec<u32>,
 }
 
 impl RequestSlab {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         RequestSlab {
             entries: Vec::new(),
             free: Vec::new(),
@@ -196,7 +198,7 @@ impl RequestSlab {
 
     /// Stores `req`, returning its slot.
     #[inline]
-    pub(crate) fn insert(&mut self, req: Request) -> u32 {
+    fn insert(&mut self, req: Request) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 self.entries[slot as usize] = req;
@@ -212,13 +214,13 @@ impl RequestSlab {
 
     /// Shared access to the request in `slot`.
     #[inline]
-    pub(crate) fn get(&self, slot: u32) -> &Request {
+    fn get(&self, slot: u32) -> &Request {
         &self.entries[slot as usize]
     }
 
     /// Removes and returns the request in `slot`, freeing it for reuse.
     #[inline]
-    pub(crate) fn take(&mut self, slot: u32) -> Request {
+    fn take(&mut self, slot: u32) -> Request {
         self.free.push(slot);
         self.entries[slot as usize]
     }
@@ -254,56 +256,56 @@ struct ReqAttrib {
 }
 
 /// Per-node server state.
-pub(crate) struct Server {
+struct Server {
     /// Edge-gateway → node messaging channel (finite credits).
-    pub(crate) qp: QueuePair,
+    qp: QueuePair,
     /// Busy-until time of each service slot.
-    pub(crate) slots: Vec<Time>,
+    slots: Vec<Time>,
     /// Slab slots of requests waiting for a QPair credit.
-    pub(crate) backlog: VecDeque<u32>,
+    backlog: VecDeque<u32>,
     /// Measured latency context (mutated mid-run by elastic leases).
-    pub(crate) model: NodeModel,
+    model: NodeModel,
     /// Times a request found no credit and had to wait (or was shed).
-    pub(crate) credit_waits: u64,
+    credit_waits: u64,
     /// Dispatched-but-not-finished requests per tenant class; together
     /// with the backlog this is the demand signal lease attribution
     /// reads (the grow trigger counts busy slots, so attribution must
     /// see in-service work too, not just the backlog).
-    pub(crate) inflight_by_class: Vec<u32>,
+    inflight_by_class: Vec<u32>,
     /// Precomputed gateway→node QPair message latency per tenant class
     /// (request payload sizes are class constants, and the latency model
     /// is state-free — hoisting it off the dispatch path is pure
     /// savings).
-    pub(crate) msg_lat_by_class: Vec<Time>,
+    msg_lat_by_class: Vec<Time>,
     /// Each tenant class's service model compiled against this node's
     /// current [`NodeModel`] ([`RequestProfile::compile`]); recompiled
     /// whenever a lease event moves the node's remote tier.
     ///
     /// [`RequestProfile::compile`]: crate::tenants::RequestProfile::compile
-    pub(crate) service_by_class: Vec<CompiledService>,
+    service_by_class: Vec<CompiledService>,
     /// Each class's remote-share model compiled against the same
     /// [`NodeModel`] ([`RequestProfile::compile_attrib`]); empty unless
     /// the probe is enabled, recompiled alongside `service_by_class`.
     ///
     /// [`RequestProfile::compile_attrib`]: crate::tenants::RequestProfile::compile_attrib
-    pub(crate) attrib_by_class: Vec<CompiledAttrib>,
+    attrib_by_class: Vec<CompiledAttrib>,
 }
 
 /// Per-tenant accumulators.
-pub(crate) struct Stats {
-    pub(crate) hist: LogHistogram,
-    pub(crate) bytes: u64,
-    pub(crate) admitted: u64,
-    pub(crate) shed_rate: u64,
-    pub(crate) shed_overload: u64,
-    pub(crate) shed_backpressure: u64,
+struct Stats {
+    hist: LogHistogram,
+    bytes: u64,
+    admitted: u64,
+    shed_rate: u64,
+    shed_overload: u64,
+    shed_backpressure: u64,
     /// Requests lost to an injected node crash (stays 0 unless a fault
     /// plan is armed).
-    pub(crate) shed_crash: u64,
+    shed_crash: u64,
 }
 
 impl Stats {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Stats {
             hist: LogHistogram::new(),
             bytes: 0,
@@ -318,9 +320,20 @@ impl Stats {
     /// Books one completion in a single call: latency into the histogram,
     /// payload bytes into the goodput ledger.
     #[inline]
-    pub(crate) fn on_complete(&mut self, latency: Time, bytes: u64) {
+    fn on_complete(&mut self, latency: Time, bytes: u64) {
         self.hist.record(latency);
         self.bytes += bytes;
+    }
+
+    /// Adds `other`'s counts in (every field is a commutative sum).
+    fn absorb(&mut self, other: &Stats) {
+        self.hist.merge(&other.hist);
+        self.bytes += other.bytes;
+        self.admitted += other.admitted;
+        self.shed_rate += other.shed_rate;
+        self.shed_overload += other.shed_overload;
+        self.shed_backpressure += other.shed_backpressure;
+        self.shed_crash += other.shed_crash;
     }
 }
 
@@ -521,7 +534,8 @@ enum EngineEvent {
     Arrival,
     /// Closed-loop session fires its next request.
     SessionNext,
-    /// Replay cursor re-drives the next recorded request.
+    /// Re-drives the next recorded request: from a replayed trace, or
+    /// from a shard worker's pre-drawn slice of the arrival stream.
     ReplayNext,
     /// A dispatched request finishes service; payload is its
     /// [`RequestSlab`] slot.
@@ -600,6 +614,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
         match self {
             EngineEvent::Arrival => open_arrival(w, s),
             EngineEvent::SessionNext => session_arrival(w, s),
+            EngineEvent::ReplayNext if w.shard.is_some() => shard_arrival(w, s),
             EngineEvent::ReplayNext => replay_arrival(w, s),
             EngineEvent::Finish(slot) => finish(w, s, slot),
             EngineEvent::LeaseTick => lease_tick(w, s),
@@ -719,7 +734,7 @@ struct ReplayCursor<'a> {
 }
 
 /// The simulated world threaded through every event.
-struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
+pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Observation hooks ([`venice_telemetry::Probe`]); `NoopProbe` in
     /// every default entry point, so the hooks compile away and the
     /// report stays bit-identical to the unprobed engine.
@@ -780,6 +795,13 @@ struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     trace: Option<Vec<RequestRecord>>,
     /// Recorded arrivals to re-drive instead of drawing fresh traffic.
     replay: Option<ReplayCursor<'a>>,
+    /// A shard worker's pre-drawn arrivals and optimism checks
+    /// ([`crate::sharded`]); `None` on the sequential path.
+    shard: Option<ShardSlice<'a>>,
+    /// Remote leases granted at setup (the report's `remote_leases`).
+    remote_leases: u64,
+    /// Static-provisioning borrow refusals at setup.
+    borrow_failures: u64,
     /// Attribution side slab paralleling `requests` by slot; empty (and
     /// never touched) unless the probe is enabled.
     attrib: Vec<ReqAttrib>,
@@ -814,7 +836,7 @@ struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     node_fault_seq: Vec<u64>,
 }
 
-impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
+impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
     /// Mutable access to the engine RNG (used to stagger closed-loop
     /// session starts).
     fn rng_mut(&mut self) -> &mut SimRng {
@@ -824,6 +846,83 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
     /// Total admitted-but-not-completed requests across all nodes.
     fn total_inflight(&self) -> u32 {
         self.admissions.iter().map(|a| a.inflight()).sum()
+    }
+
+    /// Draws one arrival's tenant class and user. During a bursty
+    /// process's burst window, a `crowd_share` fraction of arrivals
+    /// comes from the flash-crowd population instead of the mix's Zipf
+    /// tail.
+    #[inline]
+    pub(crate) fn draw_class_user(&mut self, now: Time) -> (usize, u64) {
+        let class = self
+            .rng
+            .weighted_index_with_total(&self.weights, self.weight_total);
+        let user = if let ArrivalProcess::Bursty {
+            crowd_users,
+            crowd_share,
+            ..
+        } = self.arrival
+        {
+            if crowd_users > 0 && self.arrival.in_burst(now) && self.rng.chance(crowd_share) {
+                self.rng.gen_range(0..crowd_users)
+            } else {
+                self.zipf.sample(&mut self.rng)
+            }
+        } else {
+            self.zipf.sample(&mut self.rng)
+        };
+        (class, user)
+    }
+
+    /// Draws a `class` request's service time on `node` from the service
+    /// stream, plus whether the draw was a cache miss (attribution
+    /// only). The compiled model replays `service_time()` bit for bit
+    /// (same rng draws) without re-deriving node-state constants.
+    #[inline]
+    pub(crate) fn draw_service(&mut self, node: usize, class: usize) -> (Time, bool) {
+        self.servers[node].service_by_class[class].sample_split(&mut self.service_rng)
+    }
+
+    /// Draws the instant of the open-loop arrival that follows one at
+    /// `now`: an exponential gap at the mean of `now`'s phase. Phase
+    /// selection mirrors [`ArrivalProcess::rate_at`] exactly; the
+    /// per-phase means were precomputed from the same rates.
+    #[inline]
+    pub(crate) fn next_arrival_at(&mut self, now: Time) -> Time {
+        let (base, burst) = self.open_gaps.expect("open loop has a rate");
+        let mean = if self.arrival.in_burst(now) {
+            burst
+        } else {
+            base
+        };
+        let gap = exponential(&mut self.rng, mean);
+        now.checked_add(gap).expect("simulated time overflow")
+    }
+
+    /// Turns this world into a shard worker: it draws no traffic and
+    /// re-drives `shard`'s pre-drawn arrivals instead.
+    pub(crate) fn attach_shard(&mut self, shard: ShardSlice<'a>) {
+        self.shard = Some(shard);
+    }
+
+    /// Folds a finished shard worker's world into this one (the worker
+    /// owning the lowest node range). The worker's servers for `nodes`
+    /// replace this world's idle copies; its per-class stats,
+    /// completions, end instant and trace records add in. Each worker's
+    /// issue count is one past the highest global sequence number it
+    /// issued, so the largest is the run's.
+    pub(crate) fn absorb_shard(&mut self, mut shard: Self, nodes: Range<u16>) {
+        let nodes = nodes.start as usize..nodes.end as usize;
+        self.servers[nodes.clone()].swap_with_slice(&mut shard.servers[nodes]);
+        for (acc, st) in self.stats.iter_mut().zip(&shard.stats) {
+            acc.absorb(st);
+        }
+        self.issued = self.issued.max(shard.issued);
+        self.completed += shard.completed;
+        self.end = self.end.max(shard.end);
+        if let (Some(acc), Some(records)) = (&mut self.trace, shard.trace) {
+            acc.extend(records);
+        }
     }
 }
 
@@ -930,32 +1029,83 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         if w.issued >= w.target {
             return;
         }
-        let (base, burst) = w.open_gaps.expect("open loop has a rate");
-        // Phase selection mirrors ArrivalProcess::rate_at exactly; the
-        // per-phase mean gaps were precomputed from the same rates.
-        let mean = if w.arrival.in_burst(now) { burst } else { base };
-        let gap = exponential(&mut w.rng, mean);
-        let at = now.checked_add(gap).expect("simulated time overflow");
-        // Lookahead fusion: when the next arrival lands strictly before
-        // every pending event it would be the very next pop anyway —
-        // process it in place instead of round-tripping it through the
-        // queue. (Strictly: on a timestamp tie the pending event's older
-        // sequence number wins, so a tied arrival must be enqueued.)
-        // The RNG draw order and all model state transitions are
-        // identical either way; only the queue traffic disappears.
-        match s.next_event_time() {
-            Some(next) if at >= next => {
-                s.schedule_event_at(at, EngineEvent::Arrival);
-                return;
+        let at = w.next_arrival_at(now);
+        if !fuse_arrival(w, s, at, EngineEvent::Arrival) {
+            return;
+        }
+        now = at;
+    }
+}
+
+/// Lookahead fusion: when the next arrival lands strictly before every
+/// pending event it would be the very next pop anyway, so the clock
+/// advances to it in place (returning `true`) instead of round-tripping
+/// it through the queue. On a timestamp tie the pending event's older
+/// sequence number wins, so a tied arrival is enqueued as `event`
+/// (returning `false`). The RNG draw order and all model state
+/// transitions are identical either way; only the queue traffic
+/// disappears.
+#[inline]
+fn fuse_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'a, P, M, F>,
+    s: &mut Sched<'a, P, M, F>,
+    at: Time,
+    event: EngineEvent,
+) -> bool {
+    match s.next_event_time() {
+        Some(next) if at >= next => {
+            s.schedule_event_at(at, event);
+            false
+        }
+        _ => {
+            s.advance_to(at);
+            w.fused += 1;
+            if P::ENABLED {
+                w.probe.on_fused_arrival(at);
             }
-            _ => {
-                s.advance_to(at);
-                w.fused += 1;
-                if P::ENABLED {
-                    w.probe.on_fused_arrival(at);
-                }
-                now = at;
-            }
+            true
+        }
+    }
+}
+
+/// A shard worker's arrival source: re-drives its pre-drawn slice with
+/// the same fusion as [`open_arrival`], the service time coming from the
+/// slice instead of the service stream. The front-end drew every service
+/// time as if all requests were admitted, so an admission shed — or a
+/// same-instant arrival/finish tie the slice detects — aborts the
+/// parallel attempt.
+fn shard_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'a, P, M, F>,
+    s: &mut Sched<'a, P, M, F>,
+) {
+    loop {
+        let shard = w.shard.as_mut().expect("shard worker");
+        let Some(pr) = shard.arrive() else {
+            return;
+        };
+        // The slice carries global sequence numbers and home nodes;
+        // `admit` stamps the request from the issue counter.
+        w.issued = pr.seq;
+        let service = |_: &mut World<'a, P, M, F>, _, _| (pr.service, false);
+        let admitted = admit(
+            w,
+            s,
+            pr.at,
+            pr.class as usize,
+            pr.user,
+            pr.node as usize,
+            service,
+        );
+        let shard = w.shard.as_mut().expect("shard worker");
+        if !admitted {
+            shard.abort();
+            return;
+        }
+        let Some(at) = shard.next_at() else {
+            return;
+        };
+        if !fuse_arrival(w, s, at, EngineEvent::ReplayNext) {
+            return;
         }
     }
 }
@@ -1010,29 +1160,13 @@ fn schedule_next_session<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 }
 
 /// Generates one request (tenant class + user) and runs it through
-/// admission. During a bursty process's burst window, a `crowd_share`
-/// fraction of arrivals comes from the flash-crowd population instead of
-/// the mix's Zipf tail.
+/// admission.
 fn issue<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
     now: Time,
 ) {
-    let class = w.rng.weighted_index_with_total(&w.weights, w.weight_total);
-    let user = if let ArrivalProcess::Bursty {
-        crowd_users,
-        crowd_share,
-        ..
-    } = w.arrival
-    {
-        if crowd_users > 0 && w.arrival.in_burst(now) && w.rng.chance(crowd_share) {
-            w.rng.gen_range(0..crowd_users)
-        } else {
-            w.zipf.sample(&mut w.rng)
-        }
-    } else {
-        w.zipf.sample(&mut w.rng)
-    };
+    let (class, user) = w.draw_class_user(now);
     issue_with(w, s, now, class, user);
 }
 
@@ -1081,7 +1215,7 @@ fn route<P: Probe, M: RemoteModel, F: FaultModel>(
     home
 }
 
-/// Runs one generated request through per-node admission and dispatch.
+/// Routes one generated request and runs it through admission.
 fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -1089,9 +1223,24 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     class: usize,
     user: u64,
 ) {
+    let node = route(w, class, user);
+    admit(w, s, now, class, user, node, World::draw_service);
+}
+
+/// Runs one request routed to `node` through per-node admission and
+/// dispatch, drawing an admitted request's service time (and cache-miss
+/// flag) through `service`. Returns whether admission let it in.
+fn admit<'a, P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'a, P, M, F>,
+    s: &mut Sched<'a, P, M, F>,
+    now: Time,
+    class: usize,
+    user: u64,
+    node: usize,
+    service: impl FnOnce(&mut World<'a, P, M, F>, usize, usize) -> (Time, bool),
+) -> bool {
     let seq = w.issued;
     w.issued += 1;
-    let node = route(w, class, user);
     // Total outage: every node is down, so the front door itself is
     // gone — the request is a crash loss, not an admission decision.
     if F::ENABLED && !w.faults.node_up(node as u16) {
@@ -1111,7 +1260,7 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             0,
         );
         schedule_next_session(w, s);
-        return;
+        return false;
     }
     let generation = w
         .elastic
@@ -1164,15 +1313,13 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             // A shed closed-loop client backs off one think time and
             // retries with a fresh request.
             schedule_next_session(w, s);
+            false
         }
         Decision::Admit => {
             w.stats[class].admitted += 1;
-            // The compiled model replays service_time() bit-for-bit
-            // (same rng draws) without re-deriving the node-state
-            // constants per request; the coin branch feeds attribution
-            // and is dead code on the no-op path.
-            let (service, is_miss) =
-                w.servers[node].service_by_class[class].sample_split(&mut w.service_rng);
+            // The miss flag feeds attribution and is dead code on the
+            // no-op path.
+            let (service, is_miss) = service(w, node, class);
             let slot = w.requests.insert(Request {
                 seq,
                 class: class as u32,
@@ -1194,6 +1341,7 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 };
             }
             dispatch(w, s, slot);
+            true
         }
     }
 }
@@ -1356,6 +1504,13 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
     let req = w.requests.take(slot);
     let now = s.now();
+    // A shard worker cannot order a same-node arrival and finish at one
+    // instant the way the sequential engine does: the slice aborts.
+    if let Some(shard) = &mut w.shard {
+        if !shard.finish(req.node, now) {
+            return;
+        }
+    }
     let latency = now - req.arrival;
     let class = req.class as usize;
     w.stats[class].on_complete(
@@ -1939,10 +2094,10 @@ pub struct RunOutput<P: Probe = NoopProbe> {
 
 /// Builder over the engine's single entry point.
 ///
-/// Every way of running the engine — plain, metered, probed, traced,
-/// replaying a recorded trace — is one execution with different
-/// capture options, so they compose instead of multiplying entry
-/// points:
+/// Every way of running the engine — plain, probed, traced, faulted,
+/// sharded, replaying a recorded trace — is one execution with
+/// different capture options, so they compose instead of multiplying
+/// entry points:
 ///
 /// ```
 /// use venice_loadgen::engine::{LoadgenConfig, Run};
@@ -1958,9 +2113,6 @@ pub struct RunOutput<P: Probe = NoopProbe> {
 /// let replayed = Run::new(&config).replay(&trace).execute();
 /// assert_eq!(replayed.report.issued, out.report.issued);
 /// ```
-///
-/// The former free functions (`run`, `run_metered`, `run_probed`,
-/// `run_traced`, `replay`) survive as deprecated one-line wrappers.
 #[derive(Debug)]
 pub struct Run<'c, 't, P: Probe = NoopProbe> {
     config: &'c LoadgenConfig,
@@ -2019,14 +2171,6 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
         self
     }
 
-    /// Requests the kernel-level [`EngineMetrics`]. Metrics are always
-    /// collected (they read counters the kernel tracks anyway), so this
-    /// exists purely to let call sites state the intent that
-    /// [`RunOutput::metrics`] is what they are after.
-    pub fn metered(self) -> Self {
-        self
-    }
-
     /// Re-drives `trace` instead of drawing fresh traffic: arrival
     /// instants, tenant classes, and users come from the records;
     /// admission, routing, service, and (if configured) elastic leasing
@@ -2045,19 +2189,19 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     }
 
     /// Runs the simulation as `n` per-node-group shards on worker
-    /// threads, synchronizing at conservative lookahead barriers
-    /// ([`venice_sim::shard`]). Output is **byte-identical** to the
+    /// threads ([`venice_sim::partition`]): a sequential front-end
+    /// draws the arrival stream, and each worker runs this engine over
+    /// its node group's slice. Output is **byte-identical** to the
     /// default single-shard run for every configuration — the gate the
     /// `prop_sharded` suite and the CI scaling job enforce — so the only
     /// observable difference is wall clock.
     ///
     /// Shard counts are clamped to the node count; `n <= 1` selects the
     /// sequential engine exactly as if this arm were never called.
-    /// Configurations whose cross-shard interactions leave no safe
-    /// lookahead window (elastic leases, modeled fabric paths, fault
-    /// plans, closed-loop sessions, probes, replay) also execute
-    /// sequentially rather than approximately — byte-identity is never
-    /// traded for speed.
+    /// Configurations whose node groups interact (elastic leases,
+    /// modeled fabric paths, fault plans, closed-loop sessions, probes,
+    /// replay) also execute sequentially rather than approximately —
+    /// byte-identity is never traded for speed.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -2109,141 +2253,16 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     }
 }
 
-/// Runs one complete load-generation experiment.
-///
-/// # Panics
-///
-/// Panics if the configuration is internally inconsistent (zero requests,
-/// zero concurrency, an empty mesh, or elastic leases on a stack without
-/// hot-plug support).
-#[deprecated(note = "use `Run::new(config).execute().report`")]
-pub fn run(config: &LoadgenConfig) -> LoadReport {
-    Run::new(config).execute().report
-}
-
-/// Runs one experiment and additionally returns the kernel-level
-/// [`EngineMetrics`] (events executed, peak event-queue depth) the
-/// `throughput` bench reports.
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).metered().execute()`")]
-pub fn run_metered(config: &LoadgenConfig) -> (LoadReport, EngineMetrics) {
-    let out = Run::new(config).metered().execute();
-    (out.report, out.metrics)
-}
-
-/// Runs one experiment with `probe` threaded through the engine's hook
-/// sites, returning the probe alongside the report.
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).probe(probe).execute()`")]
-pub fn run_probed<P: Probe>(config: &LoadgenConfig, probe: P) -> (LoadReport, P) {
-    let out = Run::new(config).probe(probe).execute();
-    (out.report, out.probe)
-}
-
-/// Runs one experiment and captures the per-request [`Trace`].
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).traced().execute()`")]
-pub fn run_traced(config: &LoadgenConfig) -> (LoadReport, Trace) {
-    let out = Run::new(config).traced().execute();
-    (out.report, out.trace.expect("tracing was requested"))
-}
-
-/// Re-drives a recorded trace through the engine ([`Run::replay`]).
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).replay(trace).execute().report`")]
-pub fn replay(config: &LoadgenConfig, trace: &Trace) -> LoadReport {
-    Run::new(config).replay(trace).execute().report
-}
-
-/// Topology and per-node transport built once at setup: the composed
-/// cluster, its mesh adjacency, one gateway→node [`QueuePair`] per
-/// node, each pair's 64 B control-message latency, and the per-(node,
-/// tenant class) request-message latency table. Extracted so the
-/// sequential engine and the sharded driver ([`crate::sharded`]) build
-/// their worlds through the **same** code — the two can never drift.
-pub(crate) struct Transport {
-    pub(crate) cluster: Cluster,
-    pub(crate) neighbors: Vec<Vec<u16>>,
-    pub(crate) qps: Vec<QueuePair>,
-    pub(crate) qpair_lat: Vec<Time>,
-    pub(crate) msg_lat: Vec<Vec<Time>>,
-}
-
-/// Builds the cluster and the per-node transport (steps 1–2 of a run).
-///
-/// # Panics
-///
-/// Panics if the mesh is empty or exceeds the `u16` `NodeId` space.
-pub(crate) fn build_transport(config: &LoadgenConfig) -> Transport {
-    let (dx, dy, dz) = config.mesh;
-    let cluster = Cluster::mesh(dx, dy, dz, 1 << 30, LENDABLE_PER_NODE);
-    let n = cluster.len();
-    let neighbors: Vec<Vec<u16>> = cluster
-        .nodes
-        .iter()
-        .map(|node| node.agent.neighbors.iter().map(|id| id.0).collect())
-        .collect();
-    let gateway = NodeId(0);
-    let path = cluster.path.clone();
-    let mut qpair_lat = Vec::with_capacity(n);
-    let mut qps = Vec::with_capacity(n);
-    let mut msg_lat = Vec::with_capacity(n);
-    for i in 0..n as u16 {
-        let mut qp = QueuePair::new(gateway, NodeId(i), QpairConfig::on_chip());
-        qpair_lat.push(
-            qp.message_latency(&path, 64)
-                .expect("64 B control message fits any qpair"),
-        );
-        msg_lat.push(
-            config
-                .mix
-                .classes
-                .iter()
-                .map(|class| {
-                    qp.message_latency(&path, class.profile.request_bytes())
-                        .expect("request payloads are bounded")
-                })
-                .collect::<Vec<Time>>(),
-        );
-        qps.push(qp);
-    }
-    Transport {
-        cluster,
-        neighbors,
-        qps,
-        qpair_lat,
-        msg_lat,
-    }
-}
-
 /// Provisions the remote tier for a **static** (non-elastic) run: the
 /// PR 1 one-shot borrow flow for the Venice stack, or a pre-partitioned
 /// tier at the baseline stack's per-miss cost. Returns the per-node
 /// models plus the `(remote_leases, borrow_failures)` counters.
-///
-/// # Panics
-///
-/// Panics if the config carries an elastic lease policy — the elastic
-/// bootstrap stays inline in the sequential engine.
-pub(crate) fn provision_static<M: RemoteModel>(
+fn provision_static<M: RemoteModel>(
     config: &LoadgenConfig,
     cluster: &mut Cluster,
     qpair_lat: &[Time],
     remote: &mut M,
 ) -> (Vec<NodeModel>, u64, u64) {
-    assert!(config.lease.is_none(), "static provisioning only");
     let n = cluster.len();
     let mut remote_leases = 0u64;
     let mut borrow_failures = 0u64;
@@ -2308,143 +2327,6 @@ pub(crate) fn provision_static<M: RemoteModel>(
     (models, remote_leases, borrow_failures)
 }
 
-/// Assembles the per-node [`Server`]s: transport pair, service slots,
-/// and each tenant class's service model compiled against the node's
-/// provisioned [`NodeModel`] (step 4 of a run).
-pub(crate) fn build_servers(
-    config: &LoadgenConfig,
-    qps: Vec<QueuePair>,
-    models: &[NodeModel],
-    msg_lat: Vec<Vec<Time>>,
-    attrib: bool,
-) -> Vec<Server> {
-    qps.into_iter()
-        .zip(models)
-        .zip(msg_lat)
-        .map(|((qp, &model), msg_lat_by_class)| Server {
-            qp,
-            slots: vec![Time::ZERO; config.per_node_concurrency as usize],
-            backlog: VecDeque::new(),
-            model,
-            credit_waits: 0,
-            inflight_by_class: vec![0; config.mix.classes.len()],
-            msg_lat_by_class,
-            service_by_class: config
-                .mix
-                .classes
-                .iter()
-                .map(|class| class.profile.compile(&model))
-                .collect(),
-            attrib_by_class: if attrib {
-                config
-                    .mix
-                    .classes
-                    .iter()
-                    .map(|class| class.profile.compile_attrib(&model))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        })
-        .collect()
-}
-
-/// The lease summary of a static (never-changing) remote tier.
-pub(crate) fn static_lease_summary(
-    config: &LoadgenConfig,
-    servers: &[Server],
-    borrow_failures: u64,
-) -> LeaseSummary {
-    // A static tier never changes after setup, so the models still hold
-    // exactly what was provisioned — including the power-of-two
-    // rounding the borrow flow applies, which the configured
-    // `remote_memory_per_node` would understate.
-    let granted: u64 = servers.iter().map(|s| s.model.remote_bytes).sum();
-    // Only the Venice stack actually borrows: baseline stacks mount a
-    // pre-partitioned tier without the Monitor-Node flow, so their
-    // summary shows the provisioned footprint (peak/mean) but zero
-    // lease activity.
-    let grows = if config.stack == RemoteStack::VeniceCrma {
-        servers.iter().filter(|s| s.model.has_remote()).count() as u64
-    } else {
-        0
-    };
-    LeaseSummary {
-        denials: borrow_failures,
-        ..LeaseSummary::static_tier(grows, granted)
-    }
-}
-
-/// Rolls the per-tenant accumulators up into the final [`LoadReport`]
-/// (step 6 of a run). Both the sequential engine and the sharded driver
-/// summarize through this one function, so a report field added later
-/// cannot be aggregated two different ways.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_report(
-    config: &LoadgenConfig,
-    nodes: u16,
-    duration: Time,
-    issued: u64,
-    completed: u64,
-    credit_waits: u64,
-    remote_leases: u64,
-    borrow_failures: u64,
-    lease: LeaseSummary,
-    classes: &[TenantClass],
-    stats: &[Stats],
-) -> LoadReport {
-    let mut total_hist = LogHistogram::new();
-    let mut total_bytes = 0u64;
-    let mut admitted = 0u64;
-    let (mut shed_rate, mut shed_overload, mut shed_backpressure, mut shed_crash) =
-        (0u64, 0u64, 0u64, 0u64);
-    let mut tenants = Vec::with_capacity(classes.len());
-    for (class, st) in classes.iter().zip(stats) {
-        total_hist.merge(&st.hist);
-        total_bytes += st.bytes;
-        admitted += st.admitted;
-        shed_rate += st.shed_rate;
-        shed_overload += st.shed_overload;
-        shed_backpressure += st.shed_backpressure;
-        shed_crash += st.shed_crash;
-        tenants.push(TenantReport::from_stats(
-            class.name.clone(),
-            &st.hist,
-            st.admitted,
-            st.shed_rate + st.shed_overload + st.shed_backpressure + st.shed_crash,
-            st.bytes,
-            duration,
-        ));
-    }
-    let total = TenantReport::from_stats(
-        "all",
-        &total_hist,
-        admitted,
-        shed_rate + shed_overload + shed_backpressure + shed_crash,
-        total_bytes,
-        duration,
-    );
-    LoadReport {
-        mix: config.mix.name.clone(),
-        seed: config.seed,
-        nodes,
-        duration,
-        issued,
-        admitted,
-        completed,
-        shed_rate,
-        shed_overload,
-        shed_backpressure,
-        shed_crash,
-        credit_waits,
-        remote_leases,
-        borrow_failures,
-        lease,
-        total,
-        tenants,
-    }
-}
-
 /// Arms the configured [`RemoteModel`] and monomorphizes the engine
 /// over it — the scalar path instantiates with [`ScalarCrma`]
 /// (`ENABLED = false`, every fabric hook compiled away), the congested
@@ -2484,10 +2366,39 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
     capture: bool,
+    probe: P,
+    remote: M,
+    faults: F,
+) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
+    let zipf = config.mix.user_sampler();
+    let world = build_world(config, zipf, replay_trace, capture, probe, remote, faults);
+    let (w, metrics) = run_world(world);
+    let (report, trace, probe) = summarize(config, w);
+    (report, trace, metrics, probe)
+}
+
+/// Builds one run's world (steps 1–4): the cluster with its mesh
+/// adjacency and per-node transport, the provisioned remote tier, and
+/// the per-node servers, admission controllers and accumulators. The
+/// sharded driver builds every worker's world here too. `zipf` is the
+/// mix's user sampler ([`TenantMix::user_sampler`]), taken as an
+/// argument because building one sums over the whole user population
+/// and a sharded run clones one into every worker's world.
+///
+/// # Panics
+///
+/// Panics if the configuration is internally inconsistent (zero
+/// requests, zero concurrency, an empty mesh, or elastic leases on a
+/// stack without hot-plug support).
+pub(crate) fn build_world<'a, P: Probe, M: RemoteModel, F: FaultModel>(
+    config: &LoadgenConfig,
+    zipf: ZipfSampler,
+    replay_trace: Option<&'a Trace>,
+    capture: bool,
     mut probe: P,
     mut remote: M,
     mut faults: F,
-) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
+) -> World<'a, P, M, F> {
     assert!(config.requests > 0, "need at least one request");
     assert!(config.per_node_concurrency > 0, "need at least one slot");
     config.arrival.validate();
@@ -2502,19 +2413,42 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         );
     }
 
-    // 1–2. Build the cluster, mesh adjacency, and per-node transport
-    //    (the extracted [`build_transport`], shared with the sharded
-    //    driver). The per-class request-message latency is precomputed
-    //    once — payload sizes are class constants and the latency model
-    //    is state-free, so the dispatch path just indexes it.
-    let Transport {
-        mut cluster,
-        neighbors,
-        qps,
-        qpair_lat,
-        msg_lat,
-    } = build_transport(config);
+    // 1–2. Build the cluster, mesh adjacency, and one gateway→node
+    //    QPair per node with its 64 B control-message latency. The
+    //    per-(node, class) request-message latency is precomputed once —
+    //    payload sizes are class constants and the latency model is
+    //    state-free, so the dispatch path just indexes it.
+    let (dx, dy, dz) = config.mesh;
+    let mut cluster = Cluster::mesh(dx, dy, dz, 1 << 30, LENDABLE_PER_NODE);
     let n = cluster.len();
+    let neighbors: Vec<Vec<u16>> = cluster
+        .nodes
+        .iter()
+        .map(|node| node.agent.neighbors.iter().map(|id| id.0).collect())
+        .collect();
+    let path = cluster.path.clone();
+    let mut qpair_lat = Vec::with_capacity(n);
+    let mut qps = Vec::with_capacity(n);
+    let mut msg_lat = Vec::with_capacity(n);
+    for i in 0..n as u16 {
+        let mut qp = QueuePair::new(NodeId(0), NodeId(i), QpairConfig::on_chip());
+        qpair_lat.push(
+            qp.message_latency(&path, 64)
+                .expect("64 B control message fits any qpair"),
+        );
+        msg_lat.push(
+            config
+                .mix
+                .classes
+                .iter()
+                .map(|class| {
+                    qp.message_latency(&path, class.profile.request_bytes())
+                        .expect("request payloads are bounded")
+                })
+                .collect::<Vec<Time>>(),
+        );
+        qps.push(qp);
+    }
     if F::ENABLED {
         // Sizes liveness state and rejects plans naming nodes outside
         // the mesh, before any event fires.
@@ -2606,9 +2540,8 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
             elastic = Some(tier);
         }
         (None, _) => {
-            // Static provisioning (the extracted [`provision_static`],
-            // shared with the sharded driver): the one-shot borrow flow
-            // for the Venice stack, or a pre-partitioned baseline tier.
+            // Static provisioning: the one-shot borrow flow for the
+            // Venice stack, or a pre-partitioned baseline tier.
             let (m, leases, failures) =
                 provision_static(config, &mut cluster, &qpair_lat, &mut remote);
             models = m;
@@ -2618,9 +2551,39 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         (Some(_), _) => unreachable!("asserted above"),
     }
 
-    // 4. Assemble the world (the extracted [`build_servers`], shared
-    //    with the sharded driver).
-    let servers: Vec<Server> = build_servers(config, qps, &models, msg_lat, P::ATTRIB);
+    // 4. Assemble the world: each node's transport pair, service slots,
+    //    and every tenant class's service model compiled against the
+    //    node's provisioned [`NodeModel`].
+    let servers: Vec<Server> = qps
+        .into_iter()
+        .zip(&models)
+        .zip(msg_lat)
+        .map(|((qp, &model), msg_lat_by_class)| Server {
+            qp,
+            slots: vec![Time::ZERO; config.per_node_concurrency as usize],
+            backlog: VecDeque::new(),
+            model,
+            credit_waits: 0,
+            inflight_by_class: vec![0; config.mix.classes.len()],
+            msg_lat_by_class,
+            service_by_class: config
+                .mix
+                .classes
+                .iter()
+                .map(|class| class.profile.compile(&model))
+                .collect(),
+            attrib_by_class: if P::ATTRIB {
+                config
+                    .mix
+                    .classes
+                    .iter()
+                    .map(|class| class.profile.compile_attrib(&model))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        })
+        .collect();
     let mut rng = SimRng::seed(config.seed);
     let engine_rng = rng.fork(0x10AD);
     let service_rng = rng.fork(0x5E41);
@@ -2651,14 +2614,14 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         )),
         ArrivalProcess::ClosedLoop { .. } => None,
     };
-    let world = World {
+    World {
         probe,
         rng: engine_rng,
         service_rng,
         classes: config.mix.classes.clone(),
         weight_total: config.mix.weights().iter().sum(),
         weights: config.mix.weights(),
-        zipf: config.mix.user_sampler(),
+        zipf,
         admissions: (0..n)
             .map(|_| AdmissionControl::per_node(config.admission, n as u32))
             .collect(),
@@ -2698,6 +2661,9 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
             records: &t.records,
             next: 0,
         }),
+        shard: None,
+        remote_leases,
+        borrow_failures,
         attrib: Vec::new(),
         pending_grows: if P::ATTRIB { vec![0; n] } else { Vec::new() },
         remote,
@@ -2706,42 +2672,42 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         doomed: Vec::new(),
         fault_seq: 0,
         node_fault_seq: if F::ENABLED { vec![0; n] } else { Vec::new() },
-    };
+    }
+}
 
-    // 5. Seed the event queue and run to completion.
-    let mut kernel: Kernel<World<'_, P, M, F>, EngineEvent> =
-        Kernel::new(world).with_event_limit(target.saturating_mul(8) + 500_000);
-    if kernel.state().replay.is_some() {
-        let first = kernel
-            .state()
-            .replay
-            .as_ref()
-            .and_then(|cur| cur.records.first());
-        let at = first.map(|r| Time::from_ns(r.at_ns)).unwrap_or(Time::ZERO);
-        kernel.schedule_event(at, EngineEvent::ReplayNext);
-    } else {
-        match config.arrival {
-            ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. } => {
-                kernel.schedule_event(Time::ZERO, EngineEvent::Arrival);
-            }
-            ArrivalProcess::ClosedLoop { sessions, think } => {
-                assert!(sessions > 0, "closed loop needs at least one session");
-                for _ in 0..sessions {
-                    let start = exponential(kernel.state_mut().rng_mut(), think);
-                    kernel.schedule_event(start, EngineEvent::SessionNext);
-                }
+/// Seeds the world's event queue and runs it to completion (step 5 of a
+/// run), returning the world with the kernel's loop counters.
+pub(crate) fn run_world<P: Probe, M: RemoteModel, F: FaultModel>(
+    world: World<'_, P, M, F>,
+) -> (World<'_, P, M, F>, EngineMetrics) {
+    let limit = event_limit(&world);
+    let mut kernel = Kernel::new(world).with_event_limit(limit);
+    // Recorded arrivals (a replayed trace, a shard worker's slice)
+    // start at their first record; a shard whose slice is empty has
+    // nothing to do.
+    let w = kernel.state();
+    let recorded = match (&w.replay, &w.shard) {
+        (Some(cur), _) => Some(cur.records.first().map(|r| Time::from_ns(r.at_ns))),
+        (None, Some(shard)) => Some(shard.next_at()),
+        (None, None) => None,
+    };
+    match (recorded, w.arrival) {
+        (Some(first), _) => {
+            if let Some(at) = first {
+                kernel.schedule_event(at, EngineEvent::ReplayNext);
             }
         }
+        (None, ArrivalProcess::ClosedLoop { sessions, think }) => {
+            assert!(sessions > 0, "closed loop needs at least one session");
+            for _ in 0..sessions {
+                let start = exponential(kernel.state_mut().rng_mut(), think);
+                kernel.schedule_event(start, EngineEvent::SessionNext);
+            }
+        }
+        (None, _) => kernel.schedule_event(Time::ZERO, EngineEvent::Arrival),
     }
-    if kernel.state().elastic.is_some() {
-        let interval = kernel
-            .state()
-            .elastic
-            .as_ref()
-            .expect("checked above")
-            .manager
-            .config()
-            .tick_interval;
+    if let Some(tier) = &kernel.state().elastic {
+        let interval = tier.manager.config().tick_interval;
         kernel.schedule_event(interval, EngineEvent::LeaseTick);
     }
     if F::ENABLED {
@@ -2758,17 +2724,49 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         slab: kernel.slab_occupancy(),
     };
     if P::ENABLED {
-        let queue_stats = kernel.queue_stats();
-        let slab = kernel.slab_occupancy();
-        let peak = kernel.peak_pending();
-        kernel
-            .state_mut()
-            .probe
-            .on_queue_stats(queue_stats, slab, peak);
+        kernel.state_mut().probe.on_queue_stats(
+            metrics.queue,
+            metrics.slab,
+            metrics.peak_queue_depth,
+        );
     }
+    (kernel.into_state(), metrics)
+}
 
-    // 6. Summarize.
-    let w = kernel.into_state();
+/// The runaway guard: a generous ceiling on the events a healthy run
+/// executes. Each request drives at most eight, each fault transition
+/// one, and each lease tick one — and ticks fire on the clock, not per
+/// request, so they are counted over four times the span the arrival
+/// source needs to issue every request: the last recorded instant on
+/// replay, `target` mean gaps of the slower open-loop phase, or one
+/// think time plus a one-second latency allowance per request per
+/// closed-loop session. Fixed slack covers the drain.
+fn event_limit<P: Probe, M: RemoteModel, F: FaultModel>(w: &World<'_, P, M, F>) -> u64 {
+    let lease_ticks = w.elastic.as_ref().map_or(0, |tier| {
+        let span_s = match (&w.replay, w.open_gaps, w.arrival) {
+            (Some(cur), ..) => cur.records.last().map_or(0.0, |r| r.at_ns as f64 * 1e-9),
+            (None, Some((base, burst)), _) => base.max(burst).as_secs_f64() * w.target as f64,
+            (None, None, ArrivalProcess::ClosedLoop { sessions, think }) => {
+                (think.as_secs_f64() + 1.0) * w.target as f64 / f64::from(sessions)
+            }
+            (None, None, _) => unreachable!("open loops precompute their gaps"),
+        };
+        // Float-to-int `as` saturates, so an absurd span cannot wrap.
+        (4.0 * span_s / tier.manager.config().tick_interval.as_secs_f64()) as u64
+    });
+    w.target
+        .saturating_mul(8)
+        .saturating_add(lease_ticks)
+        .saturating_add(w.faults.transitions())
+        .saturating_add(500_000)
+}
+
+/// Rolls a finished world up into the [`LoadReport`] and the
+/// issue-ordered trace (step 6 of a run), handing back the probe.
+pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
+    config: &LoadgenConfig,
+    w: World<'_, P, M, F>,
+) -> (LoadReport, Option<Trace>, P) {
     let duration = w.end;
     let lease = match &w.elastic {
         Some(tier) => {
@@ -2812,7 +2810,76 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
                 events: tier.manager.timeline().iter().map(|(_, e)| *e).collect(),
             }
         }
-        None => static_lease_summary(config, &w.servers, borrow_failures),
+        None => {
+            // A static tier never changes after setup, so the models
+            // still hold exactly what was provisioned — including the
+            // power-of-two rounding the borrow flow applies, which the
+            // configured `remote_memory_per_node` would understate.
+            let granted: u64 = w.servers.iter().map(|s| s.model.remote_bytes).sum();
+            // Only the Venice stack actually borrows: baseline stacks
+            // mount a pre-partitioned tier without the Monitor-Node
+            // flow, so their summary shows the provisioned footprint
+            // (peak/mean) but zero lease activity.
+            let grows = if config.stack == RemoteStack::VeniceCrma {
+                w.servers.iter().filter(|s| s.model.has_remote()).count() as u64
+            } else {
+                0
+            };
+            LeaseSummary {
+                denials: w.borrow_failures,
+                ..LeaseSummary::static_tier(grows, granted)
+            }
+        }
+    };
+    let mut total_hist = LogHistogram::new();
+    let mut total_bytes = 0u64;
+    let mut admitted = 0u64;
+    let (mut shed_rate, mut shed_overload, mut shed_backpressure, mut shed_crash) =
+        (0u64, 0u64, 0u64, 0u64);
+    let mut tenants = Vec::with_capacity(w.classes.len());
+    for (class, st) in w.classes.iter().zip(&w.stats) {
+        total_hist.merge(&st.hist);
+        total_bytes += st.bytes;
+        admitted += st.admitted;
+        shed_rate += st.shed_rate;
+        shed_overload += st.shed_overload;
+        shed_backpressure += st.shed_backpressure;
+        shed_crash += st.shed_crash;
+        tenants.push(TenantReport::from_stats(
+            class.name.clone(),
+            &st.hist,
+            st.admitted,
+            st.shed_rate + st.shed_overload + st.shed_backpressure + st.shed_crash,
+            st.bytes,
+            duration,
+        ));
+    }
+    let total = TenantReport::from_stats(
+        "all",
+        &total_hist,
+        admitted,
+        shed_rate + shed_overload + shed_backpressure + shed_crash,
+        total_bytes,
+        duration,
+    );
+    let report = LoadReport {
+        mix: config.mix.name.clone(),
+        seed: config.seed,
+        nodes: w.servers.len() as u16,
+        duration,
+        issued: w.issued,
+        admitted,
+        completed: w.completed,
+        shed_rate,
+        shed_overload,
+        shed_backpressure,
+        shed_crash,
+        credit_waits: w.servers.iter().map(|s| s.credit_waits).sum(),
+        remote_leases: w.remote_leases,
+        borrow_failures: w.borrow_failures,
+        lease,
+        total,
+        tenants,
     };
     let trace = w.trace.map(|mut records| {
         // Completions land in finish order; re-sort to issue order so the
@@ -2820,20 +2887,7 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         records.sort_by_key(|r| r.seq);
         Trace { records }
     });
-    let report = assemble_report(
-        config,
-        n as u16,
-        duration,
-        w.issued,
-        w.completed,
-        w.servers.iter().map(|s| s.credit_waits).sum(),
-        remote_leases,
-        borrow_failures,
-        lease,
-        &w.classes,
-        &w.stats,
-    );
-    (report, trace, metrics, w.probe)
+    (report, trace, w.probe)
 }
 
 #[cfg(test)]
@@ -2850,16 +2904,9 @@ mod tests {
         }
     }
 
-    // Local shims over the Run builder; explicit items shadow the
-    // glob-imported deprecated wrappers, so the pre-builder test bodies
-    // below compile unchanged and warning-free.
+    // One-line shims over the Run builder for the tests below.
     fn run(config: &LoadgenConfig) -> LoadReport {
         Run::new(config).execute().report
-    }
-
-    fn run_metered(config: &LoadgenConfig) -> (LoadReport, EngineMetrics) {
-        let out = Run::new(config).metered().execute();
-        (out.report, out.metrics)
     }
 
     fn run_traced(config: &LoadgenConfig) -> (LoadReport, Trace) {
@@ -2885,25 +2932,6 @@ mod tests {
             remote_model: RemoteModelCfg::Congested(params),
             ..small(seed)
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let config = small(19);
-        assert_eq!(super::run(&config), run(&config));
-        let (wrap_report, wrap_metrics) = super::run_metered(&config);
-        let (shim_report, shim_metrics) = run_metered(&config);
-        assert_eq!(wrap_report, shim_report);
-        assert_eq!(wrap_metrics, shim_metrics);
-        let (wrap_report, wrap_trace) = super::run_traced(&config);
-        let (shim_report, shim_trace) = run_traced(&config);
-        assert_eq!(wrap_report, shim_report);
-        assert_eq!(wrap_trace, shim_trace);
-        assert_eq!(
-            super::replay(&config, &wrap_trace),
-            replay(&config, &shim_trace)
-        );
     }
 
     #[test]
@@ -3251,7 +3279,8 @@ mod tests {
     #[test]
     fn metered_runs_report_loop_counters_without_changing_the_report() {
         let config = small(13);
-        let (report, metrics) = run_metered(&config);
+        let out = Run::new(&config).execute();
+        let (report, metrics) = (out.report, out.metrics);
         assert_eq!(report, run(&config), "metering changed the run");
         // At least one event per issued request (arrivals), plus
         // completions.

@@ -131,6 +131,12 @@ pub trait FaultModel {
         let _ = now;
         None
     }
+
+    /// Total transitions in the schedule (each fires at most one
+    /// `FaultTick`), for the engine's runaway guard.
+    fn transitions(&self) -> u64 {
+        0
+    }
 }
 
 /// The no-chaos model: every hook is a no-op and `ENABLED` is `false`,
@@ -274,6 +280,10 @@ impl FaultModel for FaultPlan {
             _ => {}
         }
         Some(tr)
+    }
+
+    fn transitions(&self) -> u64 {
+        self.transitions.len() as u64
     }
 }
 

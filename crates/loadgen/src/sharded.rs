@@ -1,5 +1,6 @@
-//! The sharded parallel driver: per-node-group sub-kernels on rayon
-//! workers, synchronizing at conservative lookahead barriers.
+//! The sharded parallel driver: the sequential engine's own world, run
+//! once per node group on rayon workers over a pre-drawn slice of the
+//! arrival stream.
 //!
 //! # How a run shards
 //!
@@ -8,42 +9,38 @@
 //! donor/recipient pairs), the modeled congested fabric (every dispatch
 //! reads shared per-link utilization windows), fault re-routing (a
 //! crashed node's sessions bounce to survivors), and closed-loop /
-//! replay arrival processes (one global arrival cursor). Each mechanism
-//! contributes its minimum cross-shard latency to a
-//! [`Lookahead`](venice_sim::shard::Lookahead) window; a configuration
-//! that arms **none** of them derives [`Lookahead::Unbounded`] — its
-//! node groups are provably independent for the whole run, which is
+//! replay arrival processes (one global arrival cursor). Probes observe
+//! the global event stream. A configuration that arms **none** of them
+//! has node groups that are provably independent for the whole run —
 //! exactly the committed `storm` benchmark family (open-loop arrivals,
 //! static provisioning, scalar remote model, no faults).
 //!
 //! For such a run the driver splits the work in two phases:
 //!
-//! 1. **Front-end (sequential):** the arrival stream is drawn exactly
-//!    as the sequential engine draws it — same two insulated RNG
-//!    streams, same draw order (class, user, service, gap per arrival)
-//!    — and each request is binned to the shard owning its home node
-//!    (`user % nodes`, the static-scalar routing rule).
-//! 2. **Workers (parallel):** each shard replays its slice of the
-//!    stream through an exact mirror of the sequential engine's
-//!    admission/dispatch/finish path on its own
-//!    [`Kernel`](venice_sim::Kernel). Per-node state (admission,
-//!    QPair credits, service slots, backlog) lives wholly inside one
-//!    shard, so every per-node event sequence is identical to the
-//!    sequential run's.
+//! 1. **Front-end (sequential):** one engine world draws the arrival
+//!    stream through the engine's own draw functions — same two
+//!    insulated RNG streams, same draw order (class, user, service, gap
+//!    per arrival) — and bins each request to the shard owning its home
+//!    node (`user % nodes`, the static-scalar routing rule).
+//! 2. **Workers (parallel):** each shard runs the engine's `World` over
+//!    its slice — the engine's own admission, dispatch and finish
+//!    handlers and its arrival fusion, with the slice as the arrival
+//!    source. Per-node state (admission, QPair credits, service slots,
+//!    backlog) lives wholly inside one shard, so every per-node event
+//!    sequence is identical to the sequential run's.
 //!
-//! The merge is deterministic by construction: servers reassemble in
-//! node order, per-class stats merge through commutative histogram and
-//! counter sums, the trace concatenates and re-sorts by sequence
-//! number, and the report goes through the same
-//! [`assemble_report`](crate::engine) the sequential engine uses. The
-//! result is **byte-identical** to the single-shard run at any shard
-//! count and any thread count.
+//! The merge is deterministic by construction: each worker's servers
+//! fold back in node order, per-class stats merge through commutative
+//! histogram and counter sums, the trace concatenates and re-sorts by
+//! sequence number, and the report is summarized by the same engine
+//! code as a sequential run's. The result is **byte-identical** to the
+//! single-shard run at any shard count and any thread count.
 //!
 //! # When the optimism fails
 //!
 //! Two events falsify the independence argument mid-run, and either one
-//! aborts the parallel attempt (a shared flag; every handler bails
-//! cheaply) and re-runs the whole configuration sequentially:
+//! aborts the parallel attempt (a flag every worker polls) and re-runs
+//! the whole configuration sequentially:
 //!
 //! * **An admission shed.** The front-end pre-draws service times under
 //!   an all-admitted assumption; the sequential engine skips the
@@ -59,57 +56,111 @@
 //!   cannot reconstruct; per-node stamps detect the tie in either
 //!   firing order.
 //!
-//! Configurations that derive a bounded window run sequentially today
-//! (their cross-shard traffic is not yet exchanged at barriers), but
-//! the barrier machinery itself — bounded lookahead fusion plus
-//! repeated `run_until` rounds — is exercised by forcing a window over
-//! an independent world, where it must change nothing.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use rayon::prelude::*;
-use venice_lease::Priority;
-use venice_sim::{partition, Kernel, Lookahead, QueueStats, Scheduler, SimEvent, SimRng, Time};
+use venice_sim::{partition, Time};
+use venice_telemetry::{NoopProbe, Probe};
 
-use crate::admission::{AdmissionControl, Decision};
-use crate::arrival::{exponential, ArrivalProcess};
+use crate::arrival::ArrivalProcess;
 use crate::engine::{
-    assemble_report, build_servers, build_transport, provision_static, run_full,
-    static_lease_summary, EngineMetrics, LoadgenConfig, Request, RequestSlab, Server, Stats,
-    Transport,
+    build_world, run_full, run_world, summarize, EngineMetrics, LoadgenConfig, World,
 };
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, NoFaults};
 use crate::remote::{RemoteModelCfg, ScalarCrma};
 use crate::report::LoadReport;
-use crate::trace::{RequestOutcome, RequestRecord, Trace};
+use crate::trace::Trace;
 
 /// One pre-drawn arrival, produced by the sequential front-end and
-/// consumed by the shard owning its node.
+/// consumed by the shard owning its node. The slices hold nearly all of
+/// a sharded run's heap, so the record stays at 40 bytes.
 #[derive(Debug, Clone, Copy)]
-struct PreRequest {
-    seq: u64,
-    at: Time,
-    class: u32,
-    user: u64,
-    node: u16,
+pub(crate) struct PreRequest {
+    pub(crate) seq: u64,
+    pub(crate) at: Time,
+    pub(crate) class: u32,
+    pub(crate) user: u64,
+    pub(crate) node: u16,
     /// Service time pre-drawn from the insulated service stream under
     /// the all-admitted assumption (any admission shed aborts the run).
-    service: Time,
+    pub(crate) service: Time,
 }
 
-/// Derives the run's conservative lookahead window from every
-/// cross-shard interaction mechanism the configuration arms.
-///
-/// Elastic leases interact at the manager's tick period; the congested
-/// fabric couples shards instantaneously (each dispatch reads shared
-/// link windows), which collapses the window to zero — no safe parallel
-/// progress. A configuration arming neither is unbounded: its shards
-/// never interact.
-pub(crate) fn derived_lookahead(config: &LoadgenConfig) -> Lookahead {
-    let lease_tick = config.lease.as_ref().map(|l| l.tick_interval);
-    let fabric = matches!(config.remote_model, RemoteModelCfg::Congested(_)).then_some(Time::ZERO);
-    Lookahead::from_interactions([lease_tick, fabric])
+const _: () = assert!(std::mem::size_of::<PreRequest>() == 40);
+
+/// A shard worker's part of the run, installed on the engine's world
+/// with [`World::attach_shard`]: its pre-drawn arrivals and their
+/// cursor, per-node tie stamps, and the abort flag every worker shares.
+pub(crate) struct ShardSlice<'a> {
+    /// This shard's arrivals, ascending by `seq` (and therefore time).
+    pre: Vec<PreRequest>,
+    /// Cursor into `pre`.
+    next: usize,
+    /// Per-node instant of the latest arrival and the latest finish
+    /// (indexed by global node id), to catch a same-instant tie in
+    /// either firing order.
+    last_arrival: Vec<Option<Time>>,
+    last_finish: Vec<Option<Time>>,
+    abort: &'a AtomicBool,
+}
+
+impl ShardSlice<'_> {
+    /// Takes the next pre-drawn arrival; `None` once the attempt is
+    /// aborted — already, or now, because a finish on the same node
+    /// shares its instant (the sequential engine orders that tie by
+    /// global insertion history, which no shard can reconstruct).
+    pub(crate) fn arrive(&mut self) -> Option<PreRequest> {
+        if self.abort.load(Ordering::Relaxed) {
+            return None;
+        }
+        let pr = self.pre[self.next];
+        self.next += 1;
+        let node = pr.node as usize;
+        if self.last_finish[node] == Some(pr.at) {
+            self.abort();
+            return None;
+        }
+        self.last_arrival[node] = Some(pr.at);
+        Some(pr)
+    }
+
+    /// The instant of the next pre-drawn arrival, if any remain.
+    pub(crate) fn next_at(&self) -> Option<Time> {
+        self.pre.get(self.next).map(|pr| pr.at)
+    }
+
+    /// Stamps a finish on `node` at `now`; `false` once the attempt is
+    /// aborted — already, or now, because an arrival on the same node
+    /// shares the instant.
+    pub(crate) fn finish(&mut self, node: u16, now: Time) -> bool {
+        let node = node as usize;
+        if self.abort.load(Ordering::Relaxed) || self.last_arrival[node] == Some(now) {
+            self.abort();
+            return false;
+        }
+        self.last_finish[node] = Some(now);
+        true
+    }
+
+    /// Aborts the parallel attempt on every worker.
+    pub(crate) fn abort(&self) {
+        self.abort.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Whether a run's node groups are independent: open-loop arrivals over
+/// the scalar remote model, with no lease, fault plan, probe or replay.
+fn eligible<P: Probe>(config: &LoadgenConfig, replay: bool, faults: bool) -> bool {
+    matches!(
+        config.arrival,
+        ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. }
+    ) && config.remote_model == RemoteModelCfg::Scalar
+        && config.lease.is_none()
+        && !faults
+        && !P::ENABLED
+        && !replay
 }
 
 /// Entry point behind [`Run::shards`](crate::engine::Run::shards):
@@ -117,7 +168,7 @@ pub(crate) fn derived_lookahead(config: &LoadgenConfig) -> Lookahead {
 /// otherwise (or on a mid-run violation) produces the output through
 /// the sequential engine — so the builder's output is byte-identical
 /// either way.
-pub(crate) fn run_sharded_or_sequential<P: venice_telemetry::Probe>(
+pub(crate) fn run_sharded_or_sequential<P: Probe>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
     capture: bool,
@@ -125,589 +176,112 @@ pub(crate) fn run_sharded_or_sequential<P: venice_telemetry::Probe>(
     faults: Option<FaultPlan>,
     shards: usize,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
-    let open_loop = matches!(
-        config.arrival,
-        ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. }
-    );
-    // Replay and closed-loop runs drive arrivals through one global
-    // cursor, probes observe the global event stream, and fault plans
-    // re-route sessions across node groups: all are zero-lookahead
-    // couplings, on top of whatever window the config itself derives.
-    let eligible = open_loop
-        && replay_trace.is_none()
-        && faults.is_none()
-        && !P::ENABLED
-        && !P::ATTRIB
-        && derived_lookahead(config) == Lookahead::Unbounded;
-    if eligible && shards > 1 {
-        if let Some((report, trace, metrics)) = run_sharded(config, capture, shards, None) {
+    if shards > 1 && eligible::<P>(config, replay_trace.is_some(), faults.is_some()) {
+        if let Some((report, trace, metrics)) = run_sharded(config, capture, shards) {
             return (report, trace, metrics, probe);
         }
     }
     run_full(config, replay_trace, capture, probe, faults)
 }
 
-/// Runs the parallel driver proper. Returns `None` when the run cannot
-/// be (or could not stay) parallel: a single-node mesh, a zero
-/// lookahead window, or a mid-run violation (admission shed /
+/// Runs the parallel driver proper on an eligible configuration.
+/// Returns `None` when the run cannot be (or could not stay) parallel:
+/// a single-node mesh, or a mid-run violation (admission shed /
 /// same-node timestamp tie) — the caller then re-runs sequentially.
-///
-/// `lookahead` overrides the derived window; tests force a bounded
-/// window here to exercise the barrier rounds, which must not change a
-/// single output byte.
 pub(crate) fn run_sharded(
     config: &LoadgenConfig,
     capture: bool,
     shards: usize,
-    lookahead: Option<Lookahead>,
 ) -> Option<(LoadReport, Option<Trace>, EngineMetrics)> {
-    assert!(config.requests > 0, "need at least one request");
-    assert!(config.per_node_concurrency > 0, "need at least one slot");
-    config.arrival.validate();
-    assert!(config.nodes() > 0, "mesh must be non-empty");
-    let lookahead = lookahead.unwrap_or_else(|| derived_lookahead(config));
-    if !lookahead.admits_parallelism() {
-        return None;
-    }
-
-    // Setup: identical to the sequential engine's steps 1–4, through
-    // the same extracted helpers.
-    let Transport {
-        mut cluster,
-        neighbors: _,
-        qps,
-        qpair_lat,
-        msg_lat,
-    } = build_transport(config);
-    let n = cluster.len();
-    let ranges = partition(n as u16, shards);
+    let ranges = partition(config.nodes(), shards);
     if ranges.len() < 2 {
         return None;
     }
-    let mut remote = ScalarCrma;
-    let (models, remote_leases, borrow_failures) =
-        provision_static(config, &mut cluster, &qpair_lat, &mut remote);
-    let servers = build_servers(config, qps, &models, msg_lat, false);
-
-    // Phase A — sequential front-end: replay the engine's exact draw
-    // order (class, user, service, gap per arrival; two insulated
-    // streams) and bin each request to the shard owning its home node.
-    let mut rng = SimRng::seed(config.seed);
-    let mut engine_rng = rng.fork(0x10AD);
-    let mut service_rng = rng.fork(0x5E41);
-    let weights = config.mix.weights();
-    let weight_total: f64 = weights.iter().sum();
+    let abort = AtomicBool::new(false);
+    // One engine world per shard, each built exactly as a sequential
+    // run builds its own, sharing one user sampler.
     let zipf = config.mix.user_sampler();
-    let open_gaps = match config.arrival {
-        ArrivalProcess::OpenPoisson { rate_rps } => {
-            let gap = Time::from_secs_f64(1.0 / rate_rps);
-            (gap, gap)
-        }
-        ArrivalProcess::Bursty {
-            base_rps,
-            burst_rps,
-            ..
-        } => (
-            Time::from_secs_f64(1.0 / base_rps),
-            Time::from_secs_f64(1.0 / burst_rps),
-        ),
-        ArrivalProcess::ClosedLoop { .. } => unreachable!("caller checked open loop"),
-    };
-    let mut shard_of = vec![0usize; n];
-    for (i, r) in ranges.iter().enumerate() {
-        for node in r.clone() {
-            shard_of[node as usize] = i;
-        }
-    }
-    let target = config.requests;
-    let mut pre: Vec<Vec<PreRequest>> = vec![Vec::new(); ranges.len()];
-    let mut now = Time::ZERO;
-    let mut issued = 0u64;
-    loop {
-        let class = engine_rng.weighted_index_with_total(&weights, weight_total);
-        let user = if let ArrivalProcess::Bursty {
-            crowd_users,
-            crowd_share,
-            ..
-        } = config.arrival
-        {
-            if crowd_users > 0 && config.arrival.in_burst(now) && engine_rng.chance(crowd_share) {
-                engine_rng.gen_range(0..crowd_users)
-            } else {
-                zipf.sample(&mut engine_rng)
-            }
-        } else {
-            zipf.sample(&mut engine_rng)
-        };
-        // Static scalar routing: always the home node.
-        let node = (user % n as u64) as u16;
-        let (service, _is_miss) =
-            servers[node as usize].service_by_class[class].sample_split(&mut service_rng);
-        pre[shard_of[node as usize]].push(PreRequest {
-            seq: issued,
-            at: now,
-            class: class as u32,
-            user,
-            node,
-            service,
-        });
-        issued += 1;
-        if issued >= target {
-            break;
-        }
-        let (base, burst) = open_gaps;
-        let mean = if config.arrival.in_burst(now) {
-            burst
-        } else {
-            base
-        };
-        let gap = exponential(&mut engine_rng, mean);
-        now = now.checked_add(gap).expect("simulated time overflow");
-    }
+    let mut worlds: Vec<_> = ranges
+        .iter()
+        .map(|_| {
+            build_world(
+                config,
+                zipf.clone(),
+                None,
+                capture,
+                NoopProbe,
+                ScalarCrma,
+                NoFaults,
+            )
+        })
+        .collect();
 
-    // Phase B — parallel workers: one sub-kernel per shard, each an
-    // exact mirror of the sequential per-node event path.
-    let abort = Arc::new(AtomicBool::new(false));
-    let priorities: Vec<Priority> = config.mix.classes.iter().map(|c| c.priority).collect();
-    let req_bytes: Vec<u64> = config
-        .mix
-        .classes
-        .iter()
-        .map(|c| c.profile.request_bytes())
-        .collect();
-    let resp_bytes: Vec<u64> = config
-        .mix
-        .classes
-        .iter()
-        .map(|c| c.profile.response_bytes())
-        .collect();
-    let mut server_chunks = servers.into_iter();
-    let mut kernels: Vec<Kernel<ShardWorld, ShardEvent>> = Vec::with_capacity(ranges.len());
-    for (range, pre_slice) in ranges.iter().zip(pre) {
-        let len = (range.end - range.start) as usize;
-        let world = ShardWorld {
-            base: range.start,
+    // Phase A — the sequential front-end, drawn by the first world.
+    let slices = front_end(&mut worlds[0], config.requests, &ranges);
+
+    // Phase B — parallel workers over their slices.
+    let nodes = config.nodes() as usize;
+    for (world, pre) in worlds.iter_mut().zip(slices) {
+        world.attach_shard(ShardSlice {
+            pre,
             next: 0,
-            servers: server_chunks.by_ref().take(len).collect(),
-            admissions: (0..len)
-                .map(|_| AdmissionControl::per_node(config.admission, n as u32))
-                .collect(),
-            requests: RequestSlab::new(),
-            stats: (0..config.mix.classes.len())
-                .map(|_| Stats::new())
-                .collect(),
-            priorities: priorities.clone(),
-            req_bytes_by_class: req_bytes.clone(),
-            resp_bytes_by_class: resp_bytes.clone(),
-            backlog_cap: config.admission.backlog_per_node,
-            completed: 0,
-            end: Time::ZERO,
-            fused: 0,
-            trace: capture.then(Vec::new),
-            last_arrival: vec![None; len],
-            last_finish: vec![None; len],
-            barrier: Time::MAX,
-            abort: Arc::clone(&abort),
-            pre: pre_slice,
-        };
-        let limit = (world.pre.len() as u64).saturating_mul(8) + 500_000;
-        let mut kernel = Kernel::new(world).with_event_limit(limit);
-        if let Some(first) = kernel.state().pre.first() {
-            let at = first.at;
-            kernel.schedule_event_at(at, ShardEvent::Arrival);
-        }
-        kernels.push(kernel);
+            last_arrival: vec![None; nodes],
+            last_finish: vec![None; nodes],
+            abort: &abort,
+        });
     }
-
-    match lookahead {
-        Lookahead::Unbounded => {
-            // Independent shards synchronize once, at the end.
-            kernels = kernels
-                .into_par_iter()
-                .map(|mut k| {
-                    k.state_mut().barrier = Time::MAX;
-                    k.run();
-                    k
-                })
-                .collect();
-        }
-        Lookahead::Window(window) => {
-            // Barrier rounds: every shard runs to the shared horizon,
-            // then the horizon advances by the window. (Repeated fork/
-            // join instead of an in-round barrier primitive, so the
-            // round count — and the output — is independent of how many
-            // worker threads actually run.)
-            let mut horizon = window;
-            loop {
-                kernels = kernels
-                    .into_par_iter()
-                    .map(|mut k| {
-                        k.state_mut().barrier = horizon;
-                        k.run_until(horizon);
-                        k
-                    })
-                    .collect();
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let live = kernels
-                    .iter()
-                    .any(|k| k.pending() > 0 || k.state().next < k.state().pre.len());
-                if !live {
-                    break;
-                }
-                horizon = horizon
-                    .checked_add(window)
-                    .expect("barrier horizon overflow");
-            }
-        }
-    }
+    let done: Vec<_> = worlds.into_par_iter().map(run_world).collect();
     if abort.load(Ordering::Relaxed) {
         return None;
     }
 
-    // Deterministic merge, in fixed shard (= node) order.
-    let mut servers_all: Vec<Server> = Vec::with_capacity(n);
-    let mut stats_all: Vec<Stats> = (0..config.mix.classes.len())
-        .map(|_| Stats::new())
-        .collect();
-    let mut completed = 0u64;
-    let mut end = Time::ZERO;
-    let mut records: Option<Vec<RequestRecord>> = capture.then(Vec::new);
-    let mut events = 0u64;
-    let mut fused = 0u64;
-    let mut peak = 0usize;
-    let mut queue = QueueStats::default();
-    let mut slab = (0usize, 0usize);
-    for kernel in kernels {
-        events += kernel.executed();
-        peak = peak.max(kernel.peak_pending());
-        queue.absorb(kernel.queue_stats());
-        let (live, cap) = kernel.slab_occupancy();
-        slab.0 += live;
-        slab.1 += cap;
-        let w = kernel.into_state();
-        events += w.fused;
-        fused += w.fused;
-        completed += w.completed;
-        end = end.max(w.end);
-        for (acc, st) in stats_all.iter_mut().zip(&w.stats) {
-            acc.hist.merge(&st.hist);
-            acc.bytes += st.bytes;
-            acc.admitted += st.admitted;
-            acc.shed_rate += st.shed_rate;
-            acc.shed_overload += st.shed_overload;
-            acc.shed_backpressure += st.shed_backpressure;
-            acc.shed_crash += st.shed_crash;
-        }
-        if let Some(out) = &mut records {
-            out.extend(w.trace.expect("capture was requested on every shard"));
-        }
-        servers_all.extend(w.servers);
+    // Deterministic merge, in fixed shard (= node range) order.
+    let mut done = done.into_iter().zip(ranges);
+    let ((mut world, mut metrics), _) = done.next().expect("at least two shards");
+    for ((shard, m), nodes) in done {
+        world.absorb_shard(shard, nodes);
+        metrics.events += m.events;
+        metrics.fused_arrivals += m.fused_arrivals;
+        metrics.peak_queue_depth = metrics.peak_queue_depth.max(m.peak_queue_depth);
+        metrics.queue.absorb(m.queue);
+        metrics.slab.0 += m.slab.0;
+        metrics.slab.1 += m.slab.1;
     }
-    let credit_waits = servers_all.iter().map(|s| s.credit_waits).sum();
-    let lease = static_lease_summary(config, &servers_all, borrow_failures);
-    let report = assemble_report(
-        config,
-        n as u16,
-        end,
-        target,
-        completed,
-        credit_waits,
-        remote_leases,
-        borrow_failures,
-        lease,
-        &config.mix.classes,
-        &stats_all,
-    );
-    let trace = records.map(|mut records| {
-        records.sort_by_key(|r| r.seq);
-        Trace { records }
-    });
-    let metrics = EngineMetrics {
-        events,
-        fused_arrivals: fused,
-        peak_queue_depth: peak,
-        queue,
-        slab,
-    };
+    let (report, trace, NoopProbe) = summarize(config, world);
     Some((report, trace, metrics))
 }
 
-/// One shard's world: the nodes in `base..base + servers.len()`, their
-/// slice of the pre-drawn arrival stream, and mirrors of every
-/// per-node accumulator the sequential engine keeps.
-struct ShardWorld {
-    /// First global node id owned by this shard.
-    base: u16,
-    /// This shard's slice of the arrival stream, ascending by `seq`
-    /// (and therefore by time).
-    pre: Vec<PreRequest>,
-    /// Cursor into `pre`.
-    next: usize,
-    servers: Vec<Server>,
-    admissions: Vec<AdmissionControl>,
-    requests: RequestSlab,
-    stats: Vec<Stats>,
-    priorities: Vec<Priority>,
-    req_bytes_by_class: Vec<u64>,
-    resp_bytes_by_class: Vec<u64>,
-    backlog_cap: usize,
-    completed: u64,
-    end: Time,
-    /// Arrivals absorbed by lookahead fusion instead of the queue.
-    fused: u64,
-    trace: Option<Vec<RequestRecord>>,
-    /// Per-local-node stamp of the most recent arrival, for tie
-    /// detection against a same-time finish.
-    last_arrival: Vec<Option<Time>>,
-    /// Per-local-node stamp of the most recent finish, for the
-    /// opposite firing order of the same tie.
-    last_finish: Vec<Option<Time>>,
-    /// Fusion bound: the arrival chain never advances the clock past
-    /// this instant ([`Time::MAX`] when the lookahead is unbounded,
-    /// making the chain instruction-equal to the sequential engine's).
-    barrier: Time,
-    /// Shared violation flag; once set, every handler bails and the
-    /// whole parallel attempt is discarded.
-    abort: Arc<AtomicBool>,
-}
-
-impl ShardWorld {
-    fn violated(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
-
-    fn violate(&mut self) {
-        self.abort.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Shard-local events: the two hot-path event kinds of the sequential
-/// engine. (Lease, replay, session, and fault events never arise — the
-/// eligibility gate excludes the configurations that schedule them.)
-enum ShardEvent {
-    /// Process the next pre-drawn arrival (chained, with bounded
-    /// lookahead fusion).
-    Arrival,
-    /// A dispatched request finishes service; payload is its
-    /// [`RequestSlab`] slot.
-    Finish(u32),
-}
-
-type ShardSched = Scheduler<ShardWorld, ShardEvent>;
-
-impl SimEvent<ShardWorld> for ShardEvent {
-    fn fire(self, w: &mut ShardWorld, s: &mut ShardSched) {
-        match self {
-            ShardEvent::Arrival => arrival_chain(w, s),
-            ShardEvent::Finish(slot) => finish(w, s, slot),
+/// Phase A: draws all `requests` arrivals in the sequential engine's
+/// order — class, user, service, gap per arrival, through `w`'s own
+/// draw functions — and bins each to the shard owning its home node.
+fn front_end(
+    w: &mut World<'_, NoopProbe, ScalarCrma, NoFaults>,
+    requests: u64,
+    ranges: &[Range<u16>],
+) -> Vec<Vec<PreRequest>> {
+    let shard_of: Vec<usize> = (0..ranges.len())
+        .flat_map(|i| ranges[i].clone().map(move |_| i))
+        .collect();
+    let mut slices = vec![Vec::new(); ranges.len()];
+    let mut at = Time::ZERO;
+    for seq in 0..requests {
+        if seq > 0 {
+            at = w.next_arrival_at(at);
         }
-    }
-}
-
-/// Mirrors [`open_arrival`](crate::engine)'s fusion loop over the
-/// pre-drawn slice: consecutive arrivals that precede every pending
-/// event (and the barrier) are processed in place; otherwise the next
-/// one is scheduled and the chain resumes when it fires.
-fn arrival_chain(w: &mut ShardWorld, s: &mut ShardSched) {
-    if w.violated() {
-        return;
-    }
-    loop {
-        let pr = w.pre[w.next];
-        w.next += 1;
-        admit(w, s, pr);
-        let Some(next_pr) = w.pre.get(w.next) else {
-            return;
-        };
-        let at = next_pr.at;
-        // Same fusion discipline as the sequential engine (ties go
-        // through the queue), additionally bounded by the barrier so a
-        // windowed round can never run past its horizon. The bound
-        // changes queue traffic only — fusing and scheduling perform
-        // identical state transitions.
-        match s.next_event_time() {
-            Some(next) if at >= next => {
-                s.schedule_event_at(at, ShardEvent::Arrival);
-                return;
-            }
-            _ if at > w.barrier => {
-                s.schedule_event_at(at, ShardEvent::Arrival);
-                return;
-            }
-            _ => {
-                s.advance_to(at);
-                w.fused += 1;
-            }
-        }
-        if w.violated() {
-            return;
-        }
-    }
-}
-
-/// Mirrors the sequential `issue_with` for a pre-drawn request: the
-/// same admission call, the same slab insert, the same dispatch — with
-/// the service time already drawn by the front-end.
-fn admit(w: &mut ShardWorld, s: &mut ShardSched, pr: PreRequest) {
-    let local = (pr.node - w.base) as usize;
-    // A finish on this node at this exact instant: the sequential
-    // engine orders the tie by global insertion history, which no
-    // shard can reconstruct.
-    if w.last_finish[local] == Some(pr.at) {
-        w.violate();
-        return;
-    }
-    w.last_arrival[local] = Some(pr.at);
-    let class = pr.class as usize;
-    match w.admissions[local].on_arrival(pr.at, w.priorities[class], false) {
-        Decision::Shed(_) => {
-            // The front-end drew this request's service time; the
-            // sequential engine would not have. Every later service
-            // draw is now misaligned — abort and re-run sequentially.
-            w.violate();
-        }
-        Decision::Admit => {
-            w.stats[class].admitted += 1;
-            let slot = w.requests.insert(Request {
-                seq: pr.seq,
-                class: pr.class,
-                user: pr.user,
-                node: pr.node,
-                arrival: pr.at,
-                service: pr.service,
-                generation: 0,
-            });
-            dispatch(w, s, slot);
-        }
-    }
-}
-
-/// Appends a trace record if tracing is on. Static runs have no lease
-/// generations, so the field is always zero — as in the sequential
-/// engine, whose `newest_generation` returns 0 without an elastic tier.
-#[allow(clippy::too_many_arguments)]
-fn record(
-    w: &mut ShardWorld,
-    seq: u64,
-    at: Time,
-    class: u32,
-    user: u64,
-    node: u16,
-    outcome: RequestOutcome,
-    latency: Time,
-) {
-    if let Some(trace) = &mut w.trace {
-        trace.push(RequestRecord {
+        let (class, user) = w.draw_class_user(at);
+        // Static scalar routing: always the home node.
+        let node = (user % shard_of.len() as u64) as usize;
+        let (service, _) = w.draw_service(node, class);
+        slices[shard_of[node]].push(PreRequest {
             seq,
-            at_ns: at.as_ns(),
-            tenant: class,
+            at,
+            class: class as u32,
             user,
-            node,
-            outcome,
-            latency_ns: latency.as_ns(),
-            lease_generation: 0,
+            node: node as u16,
+            service,
         });
     }
-}
-
-/// Mirrors the sequential `dispatch`: post toward the node's QPair, or
-/// park under backpressure (dropping past the backlog bound).
-fn dispatch(w: &mut ShardWorld, s: &mut ShardSched, slot: u32) {
-    let now = s.now();
-    let req = *w.requests.get(slot);
-    let local = (req.node - w.base) as usize;
-    let class = req.class as usize;
-    let srv = &mut w.servers[local];
-    match srv.qp.post_send(w.req_bytes_by_class[class]) {
-        Ok(()) => {
-            let deliver = now + srv.msg_lat_by_class[class];
-            let best_slot = {
-                let slots = &srv.slots;
-                let mut best = 0;
-                for (i, &t) in slots.iter().enumerate() {
-                    if t < slots[best] {
-                        best = i;
-                    }
-                }
-                best
-            };
-            let start = deliver.max(srv.slots[best_slot]);
-            let comp = start + req.service;
-            srv.slots[best_slot] = comp;
-            srv.inflight_by_class[class] += 1;
-            s.schedule_event_at(comp, ShardEvent::Finish(slot));
-        }
-        Err(venice_transport::qpair::QpairError::NoCredit)
-        | Err(venice_transport::qpair::QpairError::QueueFull) => {
-            srv.credit_waits += 1;
-            if srv.backlog.len() < w.backlog_cap {
-                srv.backlog.push_back(slot);
-            } else {
-                let req = w.requests.take(slot);
-                w.stats[class].shed_backpressure += 1;
-                w.admissions[local].on_completion();
-                record(
-                    w,
-                    req.seq,
-                    req.arrival,
-                    req.class,
-                    req.user,
-                    req.node,
-                    RequestOutcome::ShedBackpressure,
-                    Time::ZERO,
-                );
-            }
-        }
-        Err(e) => unreachable!("unexpected qpair error: {e:?}"),
-    }
-}
-
-/// Mirrors the sequential `finish`: account the request, return the
-/// credit, and drain the node's backlog.
-fn finish(w: &mut ShardWorld, s: &mut ShardSched, slot: u32) {
-    if w.violated() {
-        return;
-    }
-    let now = s.now();
-    let req = w.requests.take(slot);
-    let local = (req.node - w.base) as usize;
-    // An arrival on this node at this exact instant — the mirror-image
-    // tie of the one `admit` detects.
-    if w.last_arrival[local] == Some(now) {
-        w.violate();
-        return;
-    }
-    w.last_finish[local] = Some(now);
-    let class = req.class as usize;
-    let latency = now - req.arrival;
-    w.stats[class].on_complete(
-        latency,
-        w.req_bytes_by_class[class] + w.resp_bytes_by_class[class],
-    );
-    w.completed += 1;
-    if now > w.end {
-        w.end = now;
-    }
-    w.admissions[local].on_completion();
-    w.servers[local].inflight_by_class[class] -= 1;
-    record(
-        w,
-        req.seq,
-        req.arrival,
-        req.class,
-        req.user,
-        req.node,
-        RequestOutcome::Completed,
-        latency,
-    );
-    let srv = &mut w.servers[local];
-    srv.qp.drain_one();
-    srv.qp.credit_update(1);
-    if let Some(next) = srv.backlog.pop_front() {
-        dispatch(w, s, next);
-    }
+    slices
 }
 
 #[cfg(test)]
@@ -744,7 +318,7 @@ mod tests {
         let seq = Run::new(&config).traced().execute();
         for shards in [2usize, 4, 8] {
             assert!(
-                run_sharded(&config, false, shards, None).is_some(),
+                run_sharded(&config, false, shards).is_some(),
                 "the parallel path must actually run, not fall back"
             );
             let out = Run::new(&config).traced().shards(shards).execute();
@@ -761,28 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_barrier_window_changes_nothing() {
-        let config = storm_like(0xBA44, 5_000);
-        let seq = Run::new(&config).traced().execute();
-        // A bounded window forces round-based execution: the fusion
-        // bound and repeated run_until rounds must be invisible in the
-        // output.
-        for window in [Time::from_us(50), Time::from_ms(5)] {
-            let (report, trace, metrics) =
-                run_sharded(&config, true, 4, Some(Lookahead::Window(window)))
-                    .expect("independent world stays parallel under a forced window");
-            assert_eq!(bytes(&report, &trace), bytes(&seq.report, &seq.trace));
-            assert_eq!(metrics.events, seq.metrics.events);
-        }
-    }
-
-    #[test]
-    fn zero_window_refuses_parallelism() {
-        let config = storm_like(0x0, 1_000);
-        assert!(run_sharded(&config, false, 4, Some(Lookahead::Window(Time::ZERO))).is_none());
-    }
-
-    #[test]
     fn admission_pressure_falls_back_to_sequential_identically() {
         // A tiny in-flight cap forces admission sheds, which violate
         // the front-end's all-admitted assumption: the builder must
@@ -796,7 +348,7 @@ mod tests {
             ..storm_like(0xFA11, 4_000)
         };
         assert!(
-            run_sharded(&config, false, 4, None).is_none(),
+            run_sharded(&config, false, 4).is_none(),
             "sheds must abort the optimistic parallel attempt"
         );
         let seq = Run::new(&config).traced().execute();
@@ -810,23 +362,43 @@ mod tests {
 
     #[test]
     fn ineligible_configs_run_sequentially_through_the_builder() {
-        // Elastic leases derive a bounded window (the tick period);
-        // the builder collapses to the sequential engine and output is
-        // unchanged.
-        let config = LoadgenConfig {
-            lease: Some(venice_lease::LeaseConfig::default()),
-            ..storm_like(0xE1A5, 3_000)
-        };
-        assert_eq!(
-            derived_lookahead(&config),
-            Lookahead::Window(venice_lease::LeaseConfig::default().tick_interval)
+        // Elastic leases, a modeled fabric and closed-loop sessions each
+        // couple the node groups: the builder collapses to the
+        // sequential engine and output is unchanged.
+        let base = storm_like(0xE1A5, 3_000);
+        assert!(eligible::<NoopProbe>(&base, false, false));
+        assert!(!eligible::<NoopProbe>(&base, true, false), "replay");
+        assert!(!eligible::<NoopProbe>(&base, false, true), "faults");
+        assert!(
+            !eligible::<venice_telemetry::RecordingProbe>(&base, false, false),
+            "probe"
         );
-        let seq = Run::new(&config).traced().execute();
-        let out = Run::new(&config).traced().shards(8).execute();
-        assert_eq!(
-            bytes(&out.report, &out.trace),
-            bytes(&seq.report, &seq.trace)
-        );
+        let configs = [
+            LoadgenConfig {
+                lease: Some(venice_lease::LeaseConfig::default()),
+                ..base.clone()
+            },
+            LoadgenConfig {
+                remote_model: RemoteModelCfg::Congested(crate::remote::FabricParams::infinite()),
+                ..base.clone()
+            },
+            LoadgenConfig {
+                arrival: ArrivalProcess::ClosedLoop {
+                    sessions: 32,
+                    think: Time::from_us(200),
+                },
+                ..base.clone()
+            },
+        ];
+        for config in configs {
+            assert!(!eligible::<NoopProbe>(&config, false, false));
+            let seq = Run::new(&config).traced().execute();
+            let out = Run::new(&config).traced().shards(8).execute();
+            assert_eq!(
+                bytes(&out.report, &out.trace),
+                bytes(&seq.report, &seq.trace)
+            );
+        }
     }
 
     #[test]

@@ -88,3 +88,24 @@ fn elastic_beats_static_on_peak_memory_at_no_worse_p99() {
         );
     }
 }
+
+/// A valid low-rate elastic run executes far more clock-driven lease
+/// ticks (1 ms apart over ~1000 s of simulated time) than per-request
+/// events; the engine's runaway guard must count them and let the run
+/// finish with every request accounted for.
+#[test]
+fn low_rate_elastic_run_completes() {
+    let config = venice_loadgen::LoadgenConfig {
+        arrival: venice_loadgen::ArrivalProcess::OpenPoisson { rate_rps: 10.0 },
+        requests: 10_000,
+        ..elastic::elastic_config(7)
+    };
+    let r = engine::Run::new(&config).execute().report;
+    assert_eq!(r.issued, 10_000);
+    assert_eq!(r.issued, r.completed + r.shed_total());
+    assert_eq!(r.admitted, r.completed + r.shed_backpressure);
+    assert!(
+        r.duration.as_secs_f64() > 500.0,
+        "the run spans the low-rate arrival stream"
+    );
+}

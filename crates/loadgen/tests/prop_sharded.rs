@@ -71,8 +71,8 @@ proptest! {
         Conformance::new(&config).assert_engines_agree();
     }
 
-    /// Congested-fabric runs derive a bounded lookahead (fabric charges
-    /// couple shards at every dispatch) and fall back — for arbitrary
+    /// Congested-fabric runs are ineligible (fabric charges couple
+    /// shards at every dispatch) and fall back — for arbitrary
     /// capacity/buffer parameters, including ones tight enough to
     /// saturate, the bytes still match.
     #[test]
@@ -96,8 +96,8 @@ proptest! {
         Conformance::new(&config).assert_engines_agree();
     }
 
-    /// Elastic bursty runs (lease ticks derive a bounded window) and
-    /// armed fault plans (chaos is ineligible outright) both fall back
+    /// Elastic bursty runs (lease ticks move memory between node groups)
+    /// and armed fault plans (crashes re-route sessions) both fall back
     /// byte-invisibly, for arbitrary crash schedules.
     #[test]
     fn sharded_widths_agree_under_leases_and_faults(
@@ -143,12 +143,9 @@ proptest! {
             mesh: (4, 2, 2),
             ..LoadgenConfig::new(seed, TenantMix::analytics())
         };
-        let base = engine::Run::new(&config).metered().execute();
+        let base = engine::Run::new(&config).execute();
         for width in [2usize, 4, 8] {
-            let out = engine::Run::new(&config)
-                .shards(width)
-                .metered()
-                .execute();
+            let out = engine::Run::new(&config).shards(width).execute();
             prop_assert_eq!(
                 out.metrics.events, base.metrics.events,
                 "logical event count diverged at width {}", width

@@ -13,7 +13,11 @@ use venice_fabric::NodeId;
 use crate::tables::ResourceRecord;
 
 /// Chooses a donor among candidates that can satisfy a request.
-pub trait DonorPolicy {
+///
+/// Policies are `Send` so a composed cluster can move to a worker
+/// thread (the sharded loadgen driver runs one engine world per
+/// worker).
+pub trait DonorPolicy: Send {
     /// Picks a donor from `candidates` (each with enough free capacity)
     /// for `recipient`. `None` when the slice is empty.
     fn select(

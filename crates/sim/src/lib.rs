@@ -51,7 +51,7 @@ pub use kernel::{ClosureEvent, Kernel, Scheduler, SimEvent};
 pub use queue::{EventQueue, QueueStats};
 pub use rate::TokenBucket;
 pub use rng::SimRng;
-pub use shard::{partition, Lookahead};
+pub use shard::partition;
 pub use stats::{Counter, Histogram, LogHistogram, ThroughputMeter};
 pub use time::Time;
 pub use timeline::Timeline;

@@ -1,73 +1,13 @@
-//! Conservative-lookahead machinery for running a sharded simulation.
+//! Deterministic node partitioning for sharded simulation.
 //!
 //! A sharded run splits the simulated world into per-node-group
-//! sub-kernels that execute on worker threads and synchronize at
-//! *lookahead barriers*: between two barriers a shard may safely run
-//! ahead on its own clock because no other shard can influence it
-//! sooner than the minimum cross-shard interaction latency. This module
-//! holds the two shard-agnostic ingredients — the [`Lookahead`] window
-//! derivation and the deterministic node [`partition`] — so every
-//! driver (the loadgen engine today, future subsystems tomorrow)
-//! derives its barriers the same way.
-//!
-//! The discipline is the classic conservative PDES one: the window is
-//! the **minimum** latency over every mechanism through which state can
-//! cross a shard boundary (lease ticks, fabric one-way latency, …).
-//! A world whose shards cannot interact at all has no such mechanism,
-//! and its window is [`Lookahead::Unbounded`]: the shards synchronize
-//! once, at the end of the run.
+//! sub-simulations that execute on worker threads. This module holds the
+//! shard-agnostic ingredient every such driver needs — the
+//! [`partition`] of node ids into contiguous groups — so work
+//! assignment depends only on the node and shard counts, never on
+//! thread count or timing.
 
 use std::ops::Range;
-
-use crate::time::Time;
-
-/// How far a shard may run past the last barrier before it must
-/// synchronize with its peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookahead {
-    /// No mechanism lets one shard influence another: shards are fully
-    /// independent and synchronize only at the end of the run.
-    Unbounded,
-    /// Shards may interact, but never sooner than this window after a
-    /// barrier; each barrier advances the global horizon by the window.
-    Window(Time),
-}
-
-impl Lookahead {
-    /// Derives the window from every cross-shard interaction mechanism
-    /// the caller's world contains: each element is the minimum latency
-    /// of one mechanism (`None` when that mechanism is disabled for the
-    /// run). The result is the minimum over the armed mechanisms, or
-    /// [`Lookahead::Unbounded`] when none is armed.
-    ///
-    /// A zero-latency mechanism yields `Window(Time::ZERO)` — the
-    /// caller must then fall back to sequential execution, since a
-    /// zero window admits no safe parallel progress.
-    pub fn from_interactions<I>(latencies: I) -> Self
-    where
-        I: IntoIterator<Item = Option<Time>>,
-    {
-        match latencies.into_iter().flatten().min() {
-            Some(window) => Lookahead::Window(window),
-            None => Lookahead::Unbounded,
-        }
-    }
-
-    /// The barrier window, or `None` when unbounded.
-    pub fn window(&self) -> Option<Time> {
-        match self {
-            Lookahead::Unbounded => None,
-            Lookahead::Window(w) => Some(*w),
-        }
-    }
-
-    /// Whether parallel progress is safe at all: a bounded window of
-    /// zero means two shards could interact at the very next instant,
-    /// so no shard may run ahead and the caller must stay sequential.
-    pub fn admits_parallelism(&self) -> bool {
-        !matches!(self, Lookahead::Window(w) if *w == Time::ZERO)
-    }
-}
 
 /// Splits node ids `0..nodes` into `shards` contiguous, near-even
 /// ranges, earlier ranges taking the remainder. The split depends only
@@ -99,33 +39,6 @@ pub fn partition(nodes: u16, shards: usize) -> Vec<Range<u16>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lookahead_is_the_minimum_over_armed_mechanisms() {
-        let tick = Time::from_us(50);
-        let fabric = Time::from_ns(600);
-        assert_eq!(
-            Lookahead::from_interactions([Some(tick), Some(fabric)]),
-            Lookahead::Window(fabric)
-        );
-        assert_eq!(
-            Lookahead::from_interactions([None, Some(tick)]),
-            Lookahead::Window(tick)
-        );
-        assert_eq!(
-            Lookahead::from_interactions([None, None]),
-            Lookahead::Unbounded
-        );
-        assert_eq!(Lookahead::Unbounded.window(), None);
-        assert_eq!(Lookahead::Window(tick).window(), Some(tick));
-    }
-
-    #[test]
-    fn zero_window_rejects_parallelism_and_unbounded_admits_it() {
-        assert!(Lookahead::Unbounded.admits_parallelism());
-        assert!(Lookahead::Window(Time::from_ns(1)).admits_parallelism());
-        assert!(!Lookahead::Window(Time::ZERO).admits_parallelism());
-    }
 
     #[test]
     fn partition_is_contiguous_exhaustive_and_near_even() {
