@@ -5,10 +5,11 @@
 //! ```
 //!
 //! Replaces the old hand-written per-family `grep -q` freshness checks:
-//! every family in [`venice_bench::EXPECTED_FIGURE_IDS`] must be present
-//! in `BENCH_figures.json` with non-empty measured series, and every
-//! emitted family must be registered — so a new figure family cannot be
-//! silently dropped from the perf trajectory in either direction.
+//! every figure id of every family in [`venice_bench::FAMILIES`] must be
+//! present in `BENCH_figures.json` with non-empty measured series, and
+//! every emitted figure must be registered there — so a figure family
+//! cannot be silently dropped from the perf trajectory in either
+//! direction.
 //! `PATH` defaults to the repo-root artifact the `figures` binary
 //! writes.
 //!
@@ -74,8 +75,9 @@ fn main() -> ExitCode {
     let mut total = problems.len();
     if problems.is_empty() {
         println!(
-            "check-figures: {} families valid in {path}",
-            venice_bench::EXPECTED_FIGURE_IDS.len()
+            "check-figures: {} figure ids in {} families valid in {path}",
+            venice_bench::figure_ids().count(),
+            venice_bench::FAMILIES.len()
         );
     }
     if default_path {

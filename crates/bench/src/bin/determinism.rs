@@ -4,15 +4,23 @@
 //! determinism [--out PATH]
 //! ```
 //!
-//! Runs the rayon-parallel elastic/storm/failover/sweep workloads —
-//! every family
-//! whose determinism the test suite asserts — and emits their complete
-//! trace/report JSON. CI runs this binary twice, once with
-//! `RAYON_NUM_THREADS=1` and once with `RAYON_NUM_THREADS=8`, and diffs
-//! the two artifacts **byte for byte**: "bit-identical at any thread
-//! count" is a merge gate, not just a test-local assertion. (The
-//! workspace's rayon shim re-reads `RAYON_NUM_THREADS` on every
-//! parallel call, so the variable genuinely changes the fan-out width.)
+//! Emits, in order:
+//!
+//! 1. one report line per row of every comparison family in
+//!    [`venice_bench::FAMILIES`] (those with `gate_requests`: elastic,
+//!    elastic-v2, economy, congestion, failover), run through the shared
+//!    rayon row runner, lease timelines included;
+//! 2. a storm slice across the three canonical tenant mixes;
+//! 3. a small rate sweep (a rayon grid) rendered as figure JSON;
+//! 4. a traced elastic-v2 predictive run: its report, then the
+//!    per-request JSONL trace.
+//!
+//! CI runs this binary twice, once with `RAYON_NUM_THREADS=1` and once
+//! with `RAYON_NUM_THREADS=8`, and diffs the two artifacts **byte for
+//! byte**: "bit-identical at any thread count" is a merge gate, not
+//! just a test-local assertion. (The workspace's rayon shim re-reads
+//! `RAYON_NUM_THREADS` on every parallel call, so the variable genuinely
+//! changes the fan-out width.)
 //!
 //! Request counts are scaled down from the published figures — rayon
 //! determinism does not depend on run length — so the gate costs
@@ -21,17 +29,21 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use venice_loadgen::scenarios::{self, run_rows};
 use venice_loadgen::sweep::{self, SweepSpec};
-use venice_loadgen::{
-    congestion, economy, elastic, elastic_v2, engine, failover, scenarios, RemoteStack, TenantMix,
-};
+use venice_loadgen::{elastic_v2, engine, LoadReport, RemoteStack, TenantMix};
 
 /// Seed for the gate's runs (distinct from every published figure seed,
 /// so the gate can never mask a figure regression by caching).
 const GATE_SEED: u64 = 0xD17E;
 
-/// Requests per elastic comparison run.
-const GATE_REQUESTS: u64 = 6_000;
+/// Requests of the traced elastic-v2 run.
+const TRACED_REQUESTS: u64 = 6_000;
+
+/// A report as one line of JSON.
+fn json(report: &LoadReport) -> String {
+    serde_json::to_string(report).expect("report serializes")
+}
 
 fn main() -> ExitCode {
     let mut out_path: Option<String> = None;
@@ -53,72 +65,17 @@ fn main() -> ExitCode {
 
     let mut artifact = String::new();
 
-    // 1. The elastic comparison (5 stacks/modes under rayon), reports
-    //    with full lease timelines.
-    let reports = elastic::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "elastic {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
+    // 1. Every comparison family's rows, at the family's gate scale.
+    for family in venice_bench::FAMILIES {
+        let Some(requests) = family.gate_requests else {
+            continue;
+        };
+        for (label, report, _) in run_rows((family.rows)(GATE_SEED), Some(requests), false) {
+            writeln!(artifact, "{} {label} {}", family.name, json(&report)).unwrap();
+        }
     }
 
-    // 2. The v2 controller comparison (predictive, donor reclaim,
-    //    quotas — the revoke/ledger paths under rayon).
-    let reports = elastic_v2::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "elastic-v2 {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 2b. The v3 lease-economy comparison (donor pressure term,
-    //     pressure-aware revokes, sublease market — the new ledger and
-    //     service-model paths under rayon).
-    let reports = economy::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "economy {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 2c. The congested-fabric placement comparison (per-link window
-    //     accounting, per-dispatch charges, and placement vetoes under
-    //     rayon).
-    let reports = congestion::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "congestion {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 2d. The failover chaos comparison (node crashes, lease failover,
-    //     crash shedding, the revoke storm — the whole fault path under
-    //     rayon). Scaled so the 3.1 s crash instant still lands mid-run:
-    //     the diff must cover the chaos suffix, not just the fault-free
-    //     prefix.
-    let reports = failover::comparison_reports_scaled(GATE_SEED, 150_000);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "failover {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 3. A storm slice across the three canonical mixes (scaled down).
+    // 2. A storm slice across the three canonical mixes (scaled down).
     let storm_reports: Vec<_> = scenarios::storm_configs(GATE_SEED)
         .into_iter()
         .map(|mut config| {
@@ -127,16 +84,10 @@ fn main() -> ExitCode {
         })
         .collect();
     for report in &storm_reports {
-        writeln!(
-            artifact,
-            "storm {} {}",
-            report.mix,
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
+        writeln!(artifact, "storm {} {}", report.mix, json(report)).unwrap();
     }
 
-    // 4. The rate sweep (rayon grid) rendered as figure JSON.
+    // 3. The rate sweep (rayon grid) rendered as figure JSON.
     let spec = SweepSpec {
         seed: GATE_SEED,
         meshes: vec![(2, 2, 1)],
@@ -152,18 +103,13 @@ fn main() -> ExitCode {
     )
     .unwrap();
 
-    // 5. A traced elastic run: the per-request JSONL trace itself.
+    // 4. A traced elastic run: the per-request JSONL trace itself.
     let mut config = elastic_v2::predictive_config(GATE_SEED);
-    config.requests = GATE_REQUESTS;
+    config.requests = TRACED_REQUESTS;
     let out = engine::Run::new(&config).traced().execute();
     let report = out.report;
     let trace = out.trace.expect("traced run captures a trace");
-    writeln!(
-        artifact,
-        "traced {}",
-        serde_json::to_string(&report).expect("report serializes")
-    )
-    .unwrap();
+    writeln!(artifact, "traced {}", json(&report)).unwrap();
     artifact.push_str(&trace.to_jsonl());
 
     match out_path {

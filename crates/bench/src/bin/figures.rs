@@ -1,24 +1,23 @@
 //! Regenerates every table and figure of the paper's evaluation, plus the
-//! loadgen scenario family.
+//! loadgen figure families.
 //!
 //! ```text
-//! figures [--json[=PATH]] [--no-loadgen] [fig3 fig5 fig6 fig14 fig15
-//!          fig16a fig16b fig17 fig18 table1 cost validation
-//!          loadgen-p99-8n loadgen-tput-8n loadgen-p99-16n loadgen-tput-16n
-//!          loadgen-elastic-8n loadgen-elastic-timeline-8n
-//!          loadgen-elastic-v2-8n loadgen-donor-pressure-8n
-//!          loadgen-donor-benefit-8n loadgen-quota-market-8n
-//!          loadgen-congestion-8n loadgen-failover-8n]
+//! figures [--json[=PATH]] [--no-loadgen] [FIGURE_ID...]
 //! ```
 //!
-//! With no arguments, prints all figures as aligned text tables (measured
-//! values next to the paper's published values where the paper reports
-//! any). A full run (no filter, loadgen included) writes the structured
-//! data to `BENCH_figures.json` so successive PRs accumulate a
-//! machine-readable perf trajectory; filtered runs leave that artifact
-//! untouched. `--json=PATH` writes a copy of whatever was selected.
+//! `--help` lists every figure id, per family, from
+//! [`venice_bench::FAMILIES`]. With no arguments, prints all figures as
+//! aligned text tables (measured values next to the paper's published
+//! values where the paper reports any). An id filter builds only the
+//! families owning a requested id. A full run (no filter, loadgen
+//! included) writes the structured data to `BENCH_figures.json` so
+//! successive PRs accumulate a machine-readable perf trajectory;
+//! filtered runs leave that artifact untouched. `--json=PATH` writes a
+//! copy of whatever was selected.
 
 use std::process::ExitCode;
+
+use venice_loadgen::scenarios::run_rows;
 
 /// Appends a text-only engine-metrics table (events executed, lookahead
 /// fusion rate, peak event-queue depth, near-buffer hit ratio, slab
@@ -62,30 +61,28 @@ fn main() -> ExitCode {
         } else if arg == "--no-loadgen" {
             loadgen = false;
         } else if arg == "--help" || arg == "-h" {
-            println!(
-                "usage: figures [--json[=PATH]] [--no-loadgen] [FIGURE_ID...]\n\
-                 paper ids: fig3 fig5 fig6 fig14 fig15 fig16a fig16b fig17 \
-                 fig18 table1 cost validation\n\
-                 loadgen ids: loadgen-p99-8n loadgen-tput-8n loadgen-p99-16n \
-                 loadgen-tput-16n loadgen-elastic-8n loadgen-elastic-timeline-8n \
-                 loadgen-elastic-v2-8n loadgen-donor-pressure-8n \
-                 loadgen-donor-benefit-8n loadgen-quota-market-8n \
-                 loadgen-congestion-8n loadgen-failover-8n"
-            );
+            println!("usage: figures [--json[=PATH]] [--no-loadgen] [FIGURE_ID...]");
+            for f in venice_bench::FAMILIES {
+                println!("{} ids: {}", f.name, f.ids.join(" "));
+            }
             return ExitCode::SUCCESS;
         } else {
             ids.push(arg);
         }
     }
-    let mut all = venice::scenarios::all();
-    if loadgen {
-        all.extend(venice_loadgen::scenarios::all());
-    }
-    let figures = venice_bench::select(all, &ids);
-    if figures.is_empty() {
+    let families: Vec<_> = venice_bench::select_families(&ids)
+        .into_iter()
+        .filter(|f| loadgen || f.name == "paper")
+        .collect();
+    if families.is_empty() {
         eprintln!("no figures match {ids:?}");
         return ExitCode::FAILURE;
     }
+    let all = families
+        .iter()
+        .flat_map(|f| (f.build)(&run_rows((f.rows)(f.seed), None, f.traced)))
+        .collect();
+    let figures = venice_bench::select(all, &ids);
     print!("{}", venice_bench::render_all(&figures));
     let mismatches: Vec<(String, Vec<String>)> = figures
         .iter()

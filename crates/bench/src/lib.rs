@@ -9,6 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 use venice::Figure;
+use venice_loadgen::scenarios::{self, fault_free, Row, RowRun};
+use venice_loadgen::sweep;
+use venice_loadgen::{congestion, economy, elastic, elastic_v2, failover};
 
 /// Schema tag stamped into `BENCH_perf.json` so the validator can
 /// reject artifacts written by an incompatible harness version.
@@ -216,53 +219,149 @@ pub fn to_json(figures: &[Figure]) -> String {
     serde_json::to_string_pretty(figures).expect("figures serialize")
 }
 
-/// Every figure family a full `figures` run must emit, in emission
-/// order. The `check-figures` binary gates CI on this list against the
-/// committed `BENCH_figures.json`, in **both** directions: a family
-/// silently dropped from the generators fails, and a family added to
-/// the generators without being registered here fails too — so the
-/// perf trajectory can never lose coverage unnoticed.
-pub const EXPECTED_FIGURE_IDS: &[&str] = &[
-    "fig3",
-    "fig5",
-    "fig6",
-    "fig14",
-    "fig15",
-    "fig16a",
-    "fig16b",
-    "fig17",
-    "fig18",
-    "table1",
-    "cost",
-    "validation",
-    "ablation_policy",
-    "ablation_mshrs",
-    "ablation_credit_window",
-    "ablation_tltlb",
-    "ablation_contention",
-    "ablation_double_buffering",
-    "loadgen-p99-8n",
-    "loadgen-tput-8n",
-    "loadgen-p99-16n",
-    "loadgen-tput-16n",
-    "loadgen-elastic-8n",
-    "loadgen-elastic-timeline-8n",
-    "loadgen-elastic-v2-8n",
-    "loadgen-donor-pressure-8n",
-    "loadgen-donor-benefit-8n",
-    "loadgen-quota-market-8n",
-    "loadgen-congestion-8n",
-    "loadgen-failover-8n",
+/// One figure family: the single registration the `figures`,
+/// `check-figures` and `determinism` bins all read. Adding a family
+/// means adding one [`FAMILIES`] row.
+pub struct Family {
+    /// Short name; tags the family's lines in the `determinism` artifact.
+    pub name: &'static str,
+    /// Every figure id the builder emits, in emission order.
+    pub ids: &'static [&'static str],
+    /// Seed of the published figures.
+    pub seed: u64,
+    /// The family's loadgen rows at a seed (none for the paper family,
+    /// whose figures come from the analytical models).
+    pub rows: fn(u64) -> Vec<Row>,
+    /// Whether the builder reads per-request traces.
+    pub traced: bool,
+    /// Requests per row when the `determinism` gate diffs the family's
+    /// reports; `None` for families that are not comparison rows.
+    pub gate_requests: Option<u64>,
+    /// Builds the figures from the rows' run outputs (in row order).
+    pub build: fn(&[RowRun]) -> Vec<Figure>,
+}
+
+/// Request count of the `determinism` gate's comparison rows.
+const GATE_REQUESTS: u64 = 6_000;
+
+/// Every figure family, in emission order: the paper's evaluation
+/// first, then the loadgen families. The `check-figures` binary gates
+/// CI on the ids here against the committed `BENCH_figures.json`, in
+/// **both** directions: a family silently dropped from the generators
+/// fails, and an emitted figure missing from this table fails too — so
+/// the perf trajectory can never lose coverage unnoticed.
+pub const FAMILIES: &[Family] = &[
+    Family {
+        name: "paper",
+        ids: &[
+            "fig3",
+            "fig5",
+            "fig6",
+            "fig14",
+            "fig15",
+            "fig16a",
+            "fig16b",
+            "fig17",
+            "fig18",
+            "table1",
+            "cost",
+            "validation",
+            "ablation_policy",
+            "ablation_mshrs",
+            "ablation_credit_window",
+            "ablation_tltlb",
+            "ablation_contention",
+            "ablation_double_buffering",
+        ],
+        seed: 0,
+        rows: |_| Vec::new(),
+        traced: false,
+        gate_requests: None,
+        build: |_| venice::scenarios::all(),
+    },
+    Family {
+        name: "sweep",
+        ids: &[
+            "loadgen-p99-8n",
+            "loadgen-tput-8n",
+            "loadgen-p99-16n",
+            "loadgen-tput-16n",
+        ],
+        seed: scenarios::SCENARIO_SEED,
+        rows: |seed| scenarios::default_sweep(seed).rows(),
+        traced: false,
+        gate_requests: None,
+        build: |runs| sweep::render(&scenarios::default_sweep(scenarios::SCENARIO_SEED), runs),
+    },
+    Family {
+        name: "elastic",
+        ids: &["loadgen-elastic-8n", "loadgen-elastic-timeline-8n"],
+        seed: elastic::ELASTIC_SEED,
+        rows: |seed| fault_free(elastic::comparison_configs(seed)),
+        traced: false,
+        gate_requests: Some(GATE_REQUESTS),
+        build: elastic::figures,
+    },
+    Family {
+        name: "elastic-v2",
+        ids: &["loadgen-elastic-v2-8n", "loadgen-donor-pressure-8n"],
+        seed: elastic_v2::V2_SEED,
+        rows: |seed| fault_free(elastic_v2::comparison_configs(seed)),
+        traced: false,
+        gate_requests: Some(GATE_REQUESTS),
+        build: elastic_v2::figures,
+    },
+    Family {
+        name: "economy",
+        ids: &["loadgen-donor-benefit-8n", "loadgen-quota-market-8n"],
+        seed: economy::ECONOMY_SEED,
+        rows: |seed| fault_free(economy::comparison_configs(seed)),
+        traced: true,
+        gate_requests: Some(GATE_REQUESTS),
+        build: economy::figures,
+    },
+    Family {
+        name: "congestion",
+        ids: &["loadgen-congestion-8n"],
+        seed: congestion::CONGESTION_SEED,
+        rows: |seed| fault_free(congestion::configs(seed)),
+        traced: true,
+        gate_requests: Some(GATE_REQUESTS),
+        build: congestion::figures,
+    },
+    Family {
+        name: "failover",
+        ids: &["loadgen-failover-8n"],
+        seed: failover::FAILOVER_SEED,
+        rows: failover::comparison_configs,
+        traced: false,
+        // Enough traffic that the 3.1 s crash lands mid-run: the diff
+        // must cover the chaos suffix, not just the fault-free prefix.
+        gate_requests: Some(150_000),
+        build: failover::figures,
+    },
 ];
 
-/// Validates a committed figure artifact against
-/// [`EXPECTED_FIGURE_IDS`]: every expected family present with at least
-/// one measured series (each with at least one value), and no
-/// unregistered families. Returns the list of human-readable problems
-/// (empty = valid).
+/// Every registered figure id, in emission order.
+pub fn figure_ids() -> impl Iterator<Item = &'static str> {
+    FAMILIES.iter().flat_map(|f| f.ids.iter().copied())
+}
+
+/// The families owning at least one of `ids` (matched case-insensitively);
+/// every family when `ids` is empty.
+pub fn select_families(ids: &[String]) -> Vec<&'static Family> {
+    let wanted = |own: &&str| ids.iter().any(|id| id.eq_ignore_ascii_case(own));
+    let owns = |f: &&Family| ids.is_empty() || f.ids.iter().any(wanted);
+    FAMILIES.iter().filter(owns).collect()
+}
+
+/// Validates a committed figure artifact against the [`FAMILIES`] ids:
+/// every expected figure present with at least one measured series
+/// (each with at least one value), and no unregistered figures. Returns
+/// the list of human-readable problems (empty = valid).
 pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
     let mut problems = Vec::new();
-    for &id in EXPECTED_FIGURE_IDS {
+    for id in figure_ids() {
         match figures.iter().find(|f| f.id == id) {
             None => problems.push(format!("missing figure family `{id}`")),
             Some(f) if f.measured.is_empty() => {
@@ -278,9 +377,9 @@ pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
         }
     }
     for f in figures {
-        if !EXPECTED_FIGURE_IDS.contains(&f.id.as_str()) {
+        if !figure_ids().any(|id| id == f.id) {
             problems.push(format!(
-                "figure `{}` is not registered in EXPECTED_FIGURE_IDS \
+                "figure `{}` is not registered in the FAMILIES table \
                  (add it so it cannot be silently dropped later)",
                 f.id
             ));
@@ -539,6 +638,7 @@ pub fn select(figures: Vec<Figure>, ids: &[String]) -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use venice_loadgen::scenarios::run_rows;
 
     #[test]
     fn render_and_json_cover_all_scenarios() {
@@ -650,13 +750,14 @@ mod tests {
 
     #[test]
     fn expected_figure_ids_are_distinct_and_validated() {
-        let mut ids: Vec<&str> = EXPECTED_FIGURE_IDS.to_vec();
+        let expected: Vec<&str> = figure_ids().collect();
+        let mut ids = expected.clone();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), EXPECTED_FIGURE_IDS.len(), "duplicate ids");
+        assert_eq!(ids.len(), expected.len(), "duplicate ids across families");
         // A synthetic artifact covering every family passes; dropping a
         // family, emptying one, or adding an unregistered one fails.
-        let mut figs: Vec<Figure> = EXPECTED_FIGURE_IDS
+        let mut figs: Vec<Figure> = expected
             .iter()
             .map(|id| {
                 let mut f = Figure::new(*id, "t", "m");
@@ -931,6 +1032,37 @@ mod tests {
             missing.join(", ")
         );
         assert!(doc.contains("shims/"), "the shims story is part of the map");
+    }
+
+    #[test]
+    fn family_selection_builds_only_the_owners_of_a_requested_id() {
+        let names = |ids: &[&str]| -> Vec<&str> {
+            let ids: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
+            select_families(&ids).iter().map(|f| f.name).collect()
+        };
+        assert!(names(&["no-such-figure"]).is_empty());
+        assert_eq!(names(&["fig3"]), ["paper"]);
+        assert_eq!(names(&["loadgen-donor-pressure-8n"]), ["elastic-v2"]);
+        assert_eq!(names(&[]).len(), FAMILIES.len());
+    }
+
+    #[test]
+    fn every_family_builder_emits_exactly_its_declared_ids() {
+        // Each family's rows at a small request count, fed to its
+        // builder: a builder/table mismatch fails here instead of only
+        // in a full `figures` run plus `check-figures`.
+        for family in FAMILIES {
+            let runs = run_rows((family.rows)(family.seed), Some(2_000), family.traced);
+            let figs = (family.build)(&runs);
+            let ids: Vec<&str> = figs.iter().map(|f| f.id.as_str()).collect();
+            assert_eq!(ids, family.ids, "{} emits the wrong ids", family.name);
+            for f in &figs {
+                assert!(!f.measured.is_empty(), "{}: no measured series", f.id);
+                for s in &f.measured {
+                    assert!(!s.values.is_empty(), "{}: series `{}` empty", f.id, s.label);
+                }
+            }
+        }
     }
 
     #[test]

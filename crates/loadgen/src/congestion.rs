@@ -22,15 +22,14 @@
 //! *within* the congested model, where the fabric actually pushes
 //! back.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_fabric::LinkParams;
 use venice_sim::Time;
 
 use crate::elastic;
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::remote::{FabricParams, PlacementPolicy, RemoteModelCfg};
-use crate::report::LoadReport;
+use crate::scenarios::RowRun;
 
 /// Seed of the congestion figure family.
 pub const CONGESTION_SEED: u64 = 0xFAB71C;
@@ -106,56 +105,29 @@ pub fn configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
     ]
 }
 
-/// Runs both rows in parallel at a custom request count; results in
-/// figure order. The determinism gate runs this scaled down — rayon
-/// determinism does not depend on run length.
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
-}
-
-/// The congestion figure at `seed`: scalar-priced vs congestion-aware
-/// placement under the identical hot-link storm. Both rows run traced
-/// (rayon): the cluster quantiles come from the per-request records,
-/// exact rather than log-bucketed, so the placement delta is not
-/// rounded away by histogram granularity.
-pub fn congestion_figure(seed: u64) -> Figure {
-    let runs: Vec<(String, LoadReport, crate::trace::Trace)> = configs(seed)
-        .into_par_iter()
-        .map(|(label, config)| {
-            let out = engine::Run::new(&config).traced().execute();
-            let trace = out.trace.expect("traced run captures a trace");
-            (label, out.report, trace)
-        })
-        .collect();
-
+/// The congestion figure from the traced [`configs`] runs:
+/// scalar-priced vs congestion-aware placement under the identical
+/// hot-link storm. The cluster quantiles come from the per-request
+/// records, exact rather than log-bucketed, so the placement delta is
+/// not rounded away by histogram granularity.
+pub fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let mut fig = Figure::new(
         "loadgen-congestion-8n",
         "Congestion-aware vs scalar-priced lease placement under the hot-link storm, 8-node mesh",
         "both rows price every dispatch over the narrowed congested fabric; only the \
          Monitor Node's donor-selection policy differs",
     )
-    .with_columns(
-        [
-            "all p50 ms",
-            "all p99 ms",
-            "all p999 ms",
-            "mean us",
-            "grows",
-            "revokes",
-            "shed %",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>(),
-    );
-    for (label, r, trace) in &runs {
+    .with_columns([
+        "all p50 ms",
+        "all p99 ms",
+        "all p999 ms",
+        "mean us",
+        "grows",
+        "revokes",
+        "shed %",
+    ]);
+    for (label, r, trace) in runs {
+        let trace = trace.as_ref().expect("congestion rows run traced");
         let nodes: Vec<u16> = (0..r.nodes).collect();
         fig.add_measured(Series::new(
             label.clone(),
@@ -178,17 +150,7 @@ pub fn congestion_figure(seed: u64) -> Figure {
         storm_fabric(PlacementPolicy::ScalarPriced).capacity_bytes >> 10,
         storm_window().as_ps() / 1_000_000_000,
     );
-    fig
-}
-
-/// The congestion figures at `seed`, in registration order.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    vec![congestion_figure(seed)]
-}
-
-/// The published congestion figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(CONGESTION_SEED)
+    vec![fig]
 }
 
 #[cfg(test)]
@@ -230,11 +192,12 @@ mod tests {
 
     #[test]
     fn scaled_rows_congest_and_stay_deterministic() {
-        let a = comparison_reports_scaled(7, 4_000);
-        let b = comparison_reports_scaled(7, 4_000);
+        use crate::scenarios::{fault_free, run_rows};
+        let a = run_rows(fault_free(configs(7)), Some(4_000), false);
+        let b = run_rows(fault_free(configs(7)), Some(4_000), false);
         assert_eq!(a, b, "congestion rows are not deterministic");
         assert_eq!(a.len(), 2);
-        for (label, r) in &a {
+        for (label, r, _) in &a {
             assert!(r.completed > 0, "{label} completed nothing");
         }
     }

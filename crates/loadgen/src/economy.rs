@@ -29,14 +29,14 @@
 //! Both families share the elastic/v2 seed so every row is comparable
 //! with the previously published elastic figures.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_lease::{LeaseConfig, LeaseEventKind, NO_TENANT};
 
 use crate::elastic;
 use crate::elastic_v2;
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::RowRun;
 use crate::tenants::TenantMix;
 use crate::trace::{RequestOutcome, Trace};
 
@@ -180,21 +180,12 @@ pub fn market_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
     ]
 }
 
-/// Runs every economy row (both families) in parallel at a custom
-/// request count; results in figure order. The determinism gate runs
-/// this scaled down — rayon determinism does not depend on run length.
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    donor_benefit_configs(seed)
-        .into_iter()
-        .chain(market_configs(seed))
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
+/// Every economy row, in figure order: the two donor-benefit rows,
+/// then the two quota-market rows.
+pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
+    let mut rows = donor_benefit_configs(seed);
+    rows.extend(market_configs(seed));
+    rows
 }
 
 /// The *pure donors* of a run: nodes that lent memory but never held
@@ -266,19 +257,11 @@ fn sublease_curve(report: &LoadReport, buckets: usize, chunk: u64) -> Vec<f64> {
     out
 }
 
-/// The donor-benefit figure at `seed`. Runs both rows traced (rayon) —
-/// the donor-side quantiles come from the per-request records, over the
+/// The donor-benefit figure from the traced donor-benefit runs — the
+/// donor-side quantiles come from the per-request records, over the
 /// union of the two rows' donor sets so both rows are judged on the
 /// same nodes.
-pub fn donor_benefit_figure(seed: u64) -> Figure {
-    let runs: Vec<(String, LoadReport, Trace)> = donor_benefit_configs(seed)
-        .into_par_iter()
-        .map(|(label, config)| {
-            let out = engine::Run::new(&config).traced().execute();
-            let trace = out.trace.expect("traced run captures a trace");
-            (label, out.report, trace)
-        })
-        .collect();
+fn donor_benefit_figure(runs: &[RowRun]) -> Figure {
     // The evaluated donor set: the union of both rows' pure donors, so
     // each row is judged on the same nodes.
     let mut donors: Vec<u16> = runs
@@ -293,21 +276,17 @@ pub fn donor_benefit_figure(seed: u64) -> Figure {
         "Pressure-aware vs watermark-only revoke under the donor-pressure storm, 8-node mesh",
         "donor-side latency over the shared donor set; lent-memory pressure term armed in both rows",
     )
-    .with_columns(
-        [
-            "donor p50 us",
-            "donor p99 us",
-            "all p99 ms",
-            "revokes",
-            "revoke denied",
-            "donor nodes",
-            "shed %",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>(),
-    );
-    for (label, r, trace) in &runs {
+    .with_columns([
+        "donor p50 us",
+        "donor p99 us",
+        "all p99 ms",
+        "revokes",
+        "revoke denied",
+        "donor nodes",
+        "shed %",
+    ]);
+    for (label, r, trace) in runs {
+        let trace = trace.as_ref().expect("donor-benefit rows run traced");
         fig.add_measured(Series::new(
             label.clone(),
             vec![
@@ -333,16 +312,9 @@ pub fn donor_benefit_figure(seed: u64) -> Figure {
     fig
 }
 
-/// The quota-market figure at `seed`: hard quotas vs the sublease
-/// market under identical traffic.
-pub fn quota_market_figure(seed: u64) -> Figure {
-    let reports: Vec<(String, LoadReport)> = market_configs(seed)
-        .into_par_iter()
-        .map(|(label, config)| {
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect();
+/// The quota-market figure from the market runs: hard quotas vs the
+/// sublease market under identical traffic.
+fn quota_market_figure(runs: &[RowRun]) -> Figure {
     let kv_idx = market_mix()
         .classes
         .iter()
@@ -355,22 +327,17 @@ pub fn quota_market_figure(seed: u64) -> Figure {
         "the kv tenant is capped at 384 MB; the market converts its refusals into \
          subleases of the oltp tenant's idle 2 GB headroom",
     )
-    .with_columns(
-        [
-            "kv p99 ms",
-            "all p99 ms",
-            "quota denials",
-            "subleases",
-            "converted %",
-            "peak MB",
-            "kv MB",
-            "kv charged MB",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>(),
-    );
-    for (label, r) in &reports {
+    .with_columns([
+        "kv p99 ms",
+        "all p99 ms",
+        "quota denials",
+        "subleases",
+        "converted %",
+        "peak MB",
+        "kv MB",
+        "kv charged MB",
+    ]);
+    for (label, r, _) in runs {
         let denied = r.lease.quota_denials;
         let converted = r.lease.subleases;
         let conversion = if converted + denied > 0 {
@@ -392,12 +359,12 @@ pub fn quota_market_figure(seed: u64) -> Figure {
             ],
         ));
     }
-    let market = &reports
+    let market = &runs
         .iter()
-        .find(|(l, _)| l == "market")
+        .find(|(l, _, _)| l == "market")
         .expect("market row ran")
         .1;
-    let chunk = market_config(seed)
+    let chunk = market_config(ECONOMY_SEED)
         .lease
         .expect("market rows are elastic")
         .chunk_bytes;
@@ -411,14 +378,11 @@ pub fn quota_market_figure(seed: u64) -> Figure {
     fig
 }
 
-/// The economy figures at `seed`, in registration order.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    vec![donor_benefit_figure(seed), quota_market_figure(seed)]
-}
-
-/// The published economy figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(ECONOMY_SEED)
+/// The economy figures from the traced [`comparison_configs`] runs: the
+/// first two are the donor-benefit pair, the rest the market pair.
+pub fn figures(runs: &[RowRun]) -> Vec<Figure> {
+    let (donor, market) = runs.split_at(2);
+    vec![donor_benefit_figure(donor), quota_market_figure(market)]
 }
 
 #[cfg(test)]

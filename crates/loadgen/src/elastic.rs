@@ -17,13 +17,13 @@
 //! static run *and* a p99 no worse, because capacity follows the crowd
 //! instead of being spread uniformly.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_lease::LeaseConfig;
 use venice_sim::Time;
 
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::RowRun;
 use crate::stacks::RemoteStack;
 use crate::tenants::TenantMix;
 use crate::ArrivalProcess;
@@ -97,46 +97,21 @@ pub fn elastic_config(seed: u64) -> LoadgenConfig {
     }
 }
 
-/// The comparison set, in figure order.
+/// The comparison set, in figure order: the two Venice modes, then each
+/// baseline stack statically provisioned, labelled by the stack.
 pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
-    vec![
-        (
-            "venice-static".to_string(),
-            static_config(seed, RemoteStack::VeniceCrma),
-        ),
+    let venice = static_config(seed, RemoteStack::VeniceCrma);
+    let mut rows = vec![
+        ("venice-static".to_string(), venice),
         ("venice-elastic".to_string(), elastic_config(seed)),
-        (
-            "sonuma".to_string(),
-            static_config(seed, RemoteStack::Sonuma),
-        ),
-        (
-            "swap-ib".to_string(),
-            static_config(seed, RemoteStack::SwapInfiniband),
-        ),
-        (
-            "swap-eth".to_string(),
-            static_config(seed, RemoteStack::SwapEthernet),
-        ),
-    ]
-}
-
-/// Runs the full comparison in parallel; results in figure order.
-pub fn comparison_reports(seed: u64) -> Vec<(String, LoadReport)> {
-    comparison_reports_scaled(seed, REQUESTS)
-}
-
-/// As [`comparison_reports`] but at a custom request count (the
-/// thread-count-independence tests use a small one: rayon determinism
-/// does not depend on run length).
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    comparison_configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
+    ];
+    let baselines = [
+        RemoteStack::Sonuma,
+        RemoteStack::SwapInfiniband,
+        RemoteStack::SwapEthernet,
+    ];
+    rows.extend(baselines.map(|stack| (stack.label().to_string(), static_config(seed, stack))));
+    rows
 }
 
 /// The *minimum* cluster-wide borrowed memory (MB) within each of
@@ -173,25 +148,19 @@ fn provisioning_curve(report: &LoadReport, buckets: usize) -> Vec<f64> {
     out
 }
 
-/// The `loadgen-elastic` figures: a summary table and the provisioning
-/// timeline showing capacity following the flash crowd mid-run.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    let reports = comparison_reports(seed);
+/// The `loadgen-elastic` figures from the [`comparison_configs`] runs: a
+/// summary table and the provisioning timeline showing capacity
+/// following the flash crowd mid-run.
+pub fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let mut summary = Figure::new(
         "loadgen-elastic-8n",
         "Static vs elastic provisioning under a flash crowd, 8-node mesh",
         "per-config summary: latency, provisioned remote memory, lease activity",
     )
-    .with_columns(vec![
-        "p50 ms".to_string(),
-        "p99 ms".to_string(),
-        "peak MB".to_string(),
-        "mean MB".to_string(),
-        "grows".to_string(),
-        "shrinks".to_string(),
-        "shed %".to_string(),
+    .with_columns([
+        "p50 ms", "p99 ms", "peak MB", "mean MB", "grows", "shrinks", "shed %",
     ]);
-    for (label, r) in &reports {
+    for (label, r, _) in runs {
         summary.add_measured(Series::new(
             label.clone(),
             vec![
@@ -215,22 +184,15 @@ pub fn figures(seed: u64) -> Vec<Figure> {
         "Borrowed remote memory over the run (flash-crowd traffic)",
         "minimum cluster-wide borrowed MB within each of 16 equal run segments",
     )
-    .with_columns((1..=BUCKETS).map(|b| format!("t{b}")).collect::<Vec<_>>());
-    for (label, r) in &reports {
-        if label.starts_with("venice") {
-            timeline.add_measured(Series::new(label.clone(), provisioning_curve(r, BUCKETS)));
-        }
+    .with_columns((1..=BUCKETS).map(|b| format!("t{b}")));
+    for (label, r, _) in runs.iter().filter(|(l, _, _)| l.starts_with("venice")) {
+        timeline.add_measured(Series::new(label.clone(), provisioning_curve(r, BUCKETS)));
     }
     timeline.notes = "each segment's minimum sits below the elastic peak (the summary figure's \
                       'peak MB' column): hot nodes grow on each burst and release between \
                       bursts, while the static series never moves (no published reference)"
         .to_string();
     vec![summary, timeline]
-}
-
-/// The published figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(ELASTIC_SEED)
 }
 
 #[cfg(test)]
@@ -302,6 +264,6 @@ mod tests {
             requests: 200,
             ..LoadgenConfig::new(1, TenantMix::messaging())
         };
-        engine::Run::new(&config).execute().report
+        crate::engine::Run::new(&config).execute().report
     }
 }

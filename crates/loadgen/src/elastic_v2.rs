@@ -27,13 +27,13 @@
 //! figure's quota column shows grows refused locally (and the tenant
 //! clamped at admission) once its ledger fills.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_lease::{LeaseConfig, LeaseEventKind};
 
 use crate::elastic::{self, ELASTIC_SEED};
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::RowRun;
 use crate::tenants::TenantMix;
 
 /// The flash-crowd seed shared with the `loadgen-elastic` family: the
@@ -135,25 +135,6 @@ pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
     ]
 }
 
-/// Runs the full v2 comparison in parallel; results in figure order.
-pub fn comparison_reports(seed: u64) -> Vec<(String, LoadReport)> {
-    comparison_reports_scaled(seed, 400_000)
-}
-
-/// As [`comparison_reports`] but at a custom request count (the
-/// determinism gate uses a small one; rayon determinism does not depend
-/// on run length).
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    comparison_configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
-}
-
 /// One summary row per run: latency, provisioning, and the v2 controller
 /// counters (predictive grows, revokes, quota refusals).
 fn summary_row(r: &LoadReport) -> Vec<f64> {
@@ -170,30 +151,25 @@ fn summary_row(r: &LoadReport) -> Vec<f64> {
     ]
 }
 
-fn summary_columns() -> Vec<String> {
-    [
-        "p50 ms",
-        "p99 ms",
-        "peak MB",
-        "mean MB",
-        "grows",
-        "predict grows",
-        "revokes",
-        "quota denials",
-        "shed %",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
-}
+/// Columns of [`summary_row`].
+const SUMMARY_COLUMNS: [&str; 9] = [
+    "p50 ms",
+    "p99 ms",
+    "peak MB",
+    "mean MB",
+    "grows",
+    "predict grows",
+    "revokes",
+    "quota denials",
+    "shed %",
+];
 
-/// The v2 figures at `seed`.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    let reports = comparison_reports(seed);
+/// The v2 figures from the [`comparison_configs`] runs.
+pub fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let get = |label: &str| {
-        &reports
+        &runs
             .iter()
-            .find(|(l, _)| l == label)
+            .find(|(l, _, _)| l == label)
             .unwrap_or_else(|| panic!("missing {label}"))
             .1
     };
@@ -203,7 +179,7 @@ pub fn figures(seed: u64) -> Vec<Figure> {
         "Predictive vs reactive elastic leasing under a flash crowd, 8-node mesh",
         "per-controller summary: latency, provisioned remote memory, lease activity",
     )
-    .with_columns(summary_columns());
+    .with_columns(SUMMARY_COLUMNS);
     for label in ["venice-reactive", "venice-predictive"] {
         v2.add_measured(Series::new(label, summary_row(get(label))));
     }
@@ -218,7 +194,7 @@ pub fn figures(seed: u64) -> Vec<Figure> {
         "Donor-side reclaim under spillover pressure, 8-node mesh",
         "donor-passive vs donor-armed summary under identical traffic and quotas",
     )
-    .with_columns(summary_columns());
+    .with_columns(SUMMARY_COLUMNS);
     for label in ["donor-passive", "donor-reclaim"] {
         donor.add_measured(Series::new(label, summary_row(get(label))));
     }
@@ -236,11 +212,6 @@ pub fn figures(seed: u64) -> Vec<Figure> {
          (no published reference)"
     );
     vec![v2, donor]
-}
-
-/// The published v2 figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(V2_SEED)
 }
 
 #[cfg(test)]

@@ -28,14 +28,13 @@
 //! failover re-provisions the crowd's capacity while static stays
 //! degraded.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_sim::Time;
 
 use crate::elastic;
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::faults::{FaultEvent, FaultPlan};
-use crate::report::LoadReport;
+use crate::scenarios::{Row, RowRun};
 use crate::stacks::RemoteStack;
 
 /// Base seed of the published failover figures.
@@ -108,7 +107,7 @@ pub fn storm_config(seed: u64) -> LoadgenConfig {
 }
 
 /// The comparison set, in figure order: `(label, config, fault plan)`.
-pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig, Option<FaultPlan>)> {
+pub fn comparison_configs(seed: u64) -> Vec<Row> {
     vec![
         (
             "static-crash".to_string(),
@@ -129,47 +128,25 @@ pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig, Option<Fault
     ]
 }
 
-/// Runs the full comparison in parallel; results in figure order.
-pub fn comparison_reports(seed: u64) -> Vec<(String, LoadReport)> {
-    comparison_reports_scaled(seed, REQUESTS)
-}
-
-/// As [`comparison_reports`] but at a custom request count (the
-/// determinism gates diff a small run at rayon widths 1 and 8; thread
-/// independence does not depend on run length).
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    comparison_configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config, plan)| {
-            config.requests = requests;
-            let mut run = engine::Run::new(&config);
-            if let Some(plan) = plan {
-                run = run.faults(plan);
-            }
-            (label, run.execute().report)
-        })
-        .collect()
-}
-
-/// The `loadgen-failover-8n` figure: per-row latency, loss, and lease
-/// recovery activity through the crash.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    let reports = comparison_reports(seed);
+/// The `loadgen-failover-8n` figure from the [`comparison_configs`]
+/// runs: per-row latency, loss, and lease recovery activity through the
+/// crash.
+pub fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let mut fig = Figure::new(
         "loadgen-failover-8n",
         "Flash crowd through a mid-run node crash, 8-node mesh",
         "per-config summary: latency through the outage, crash losses, failover activity",
     )
-    .with_columns(vec![
-        "p50 ms".to_string(),
-        "p99 ms".to_string(),
-        "shed %".to_string(),
-        "crash sheds".to_string(),
-        "failovers".to_string(),
-        "grows".to_string(),
-        "revokes".to_string(),
+    .with_columns([
+        "p50 ms",
+        "p99 ms",
+        "shed %",
+        "crash sheds",
+        "failovers",
+        "grows",
+        "revokes",
     ]);
-    for (label, r) in &reports {
+    for (label, r, _) in runs {
         fig.add_measured(Series::new(
             label.clone(),
             vec![
@@ -190,11 +167,6 @@ pub fn figures(seed: u64) -> Vec<Figure> {
                  reference)"
         .to_string();
     vec![fig]
-}
-
-/// The published figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(FAILOVER_SEED)
 }
 
 #[cfg(test)]

@@ -52,7 +52,8 @@
 //!   survivors;
 //! * [`scenarios`] / [`elastic`] — the `loadgen` and `loadgen-elastic`
 //!   figure families layered beyond the paper's figures, consumed by the
-//!   `figures` binary. [`failover`] adds the `loadgen-failover-8n`
+//!   `figures` binary; every family's rows run through the one rayon
+//!   runner [`scenarios::run_rows`]. [`failover`] adds the `loadgen-failover-8n`
 //!   family: flash crowd plus a mid-run node crash, elastic-with-failover
 //!   vs static.
 //!
@@ -98,7 +99,7 @@ pub use faults::{FaultEvent, FaultModel, FaultPlan, NoFaults};
 pub use remote::{FabricParams, PlacementPolicy, RemoteModelCfg};
 pub use report::{LeaseSummary, LoadReport, TenantReport};
 pub use stacks::RemoteStack;
-pub use sweep::{SweepPoint, SweepSpec};
+pub use sweep::SweepSpec;
 pub use tenants::{RequestProfile, TenantClass, TenantMix};
 pub use trace::{RequestOutcome, RequestRecord, Trace};
 

@@ -1,17 +1,18 @@
 //! Parallel configuration sweeps.
 //!
 //! A [`SweepSpec`] spans a grid of (mesh size × tenant mix × arrival
-//! rate × remote stack); [`run_sweep`] fans the grid over rayon and
-//! returns one [`SweepPoint`] per cell. Determinism at any thread count
-//! comes from two properties: every point derives its own seed purely
+//! rate × remote stack); [`SweepSpec::rows`] hands the grid to the shared
+//! rayon runner [`run_rows`], which returns one run per cell. Determinism
+//! at any thread count comes from two properties: every point derives
+//! its own seed purely
 //! from the spec seed and the point's grid index, and results are
 //! collected in grid order — never in completion order.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::{run_rows, Row, RowRun};
 use crate::stacks::RemoteStack;
 use crate::tenants::TenantMix;
 use crate::ArrivalProcess;
@@ -72,6 +73,23 @@ impl SweepSpec {
         }
         out
     }
+
+    /// The grid as labelled [`Row`]s, in grid order.
+    pub fn rows(&self) -> Vec<Row> {
+        let label = |c: &LoadgenConfig| {
+            format!(
+                "{:?} {} {:.0} rps {}",
+                c.mesh,
+                c.mix.name,
+                rate_of(c),
+                c.stack.label()
+            )
+        };
+        self.configs()
+            .into_iter()
+            .map(|c| (label(&c), c, None))
+            .collect()
+    }
 }
 
 /// SplitMix64-style derivation of a point seed from the spec seed and the
@@ -86,46 +104,29 @@ fn point_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One completed grid cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Mesh dimensions of the cell.
-    pub mesh: (u16, u16, u16),
-    /// Mix name.
-    pub mix: String,
-    /// Offered rate.
-    pub rate_rps: f64,
-    /// Remote stack of the cell.
-    pub stack: RemoteStack,
-    /// The run's report.
-    pub report: LoadReport,
+/// The open-loop rate of a sweep configuration.
+fn rate_of(config: &LoadgenConfig) -> f64 {
+    let ArrivalProcess::OpenPoisson { rate_rps } = config.arrival else {
+        unreachable!("sweep configs are open-loop");
+    };
+    rate_rps
 }
 
-/// Runs every grid point in parallel; the result vector is in grid order.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepPoint> {
-    spec.configs()
-        .into_par_iter()
-        .map(|config| {
-            let ArrivalProcess::OpenPoisson { rate_rps } = config.arrival else {
-                unreachable!("sweep configs are open-loop");
-            };
-            SweepPoint {
-                mesh: config.mesh,
-                mix: config.mix.name.clone(),
-                rate_rps,
-                stack: config.stack,
-                report: engine::Run::new(&config).execute().report,
-            }
-        })
-        .collect()
-}
-
-/// Runs the sweep and renders it as `Figure`s: for every mesh size, a p99
-/// figure and a goodput figure over the rate axis, one series per
-/// (mix × stack) combination (the stack suffix is dropped when the sweep
-/// covers only one stack).
+/// Runs the sweep and renders it as `Figure`s (see [`render`]).
 pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
-    let points = run_sweep(spec);
+    render(spec, &run_rows(spec.rows(), None, false))
+}
+
+/// Renders `runs` — the outputs of `spec.rows()`, in grid order — as
+/// `Figure`s: for every mesh size, a p99 figure and a goodput figure
+/// over the rate axis, one series per (mix × stack) combination (the
+/// stack suffix is dropped when the sweep covers only one stack).
+pub fn render(spec: &SweepSpec, runs: &[RowRun]) -> Vec<Figure> {
+    let cells: Vec<(LoadgenConfig, &LoadReport)> = spec
+        .configs()
+        .into_iter()
+        .zip(runs.iter().map(|(_, r, _)| r))
+        .collect();
     let columns: Vec<String> = spec
         .rates_rps
         .iter()
@@ -155,19 +156,18 @@ pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
         .with_columns(columns.clone());
         for mix in &spec.mixes {
             for &stack in &spec.stacks {
-                let rows: Vec<&SweepPoint> = points
+                let rows: Vec<&LoadReport> = cells
                     .iter()
-                    .filter(|p| p.mesh == mesh && p.mix == mix.name && p.stack == stack)
+                    .filter(|(c, _)| c.mesh == mesh && c.mix.name == mix.name && c.stack == stack)
+                    .map(|&(_, r)| r)
                     .collect();
                 p99.add_measured(Series::new(
                     label(mix, stack),
-                    rows.iter()
-                        .map(|p| p.report.total.p99_us / 1_000.0)
-                        .collect(),
+                    rows.iter().map(|r| r.total.p99_us / 1_000.0).collect(),
                 ));
                 tput.add_measured(Series::new(
                     label(mix, stack),
-                    rows.iter().map(|p| p.report.total.throughput_rps).collect(),
+                    rows.iter().map(|r| r.total.throughput_rps).collect(),
                 ));
             }
         }
@@ -197,8 +197,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_runs() {
-        let a = run_sweep(&tiny_spec());
-        let b = run_sweep(&tiny_spec());
+        let a = run_rows(tiny_spec().rows(), None, false);
+        let b = run_rows(tiny_spec().rows(), None, false);
         assert_eq!(a, b);
         assert_eq!(a.len(), 4);
     }
@@ -238,8 +238,8 @@ mod tests {
         // run the identical arrival stream.
         let configs = spec.configs();
         assert_eq!(configs[0].seed, configs[1].seed);
-        let points = run_sweep(&spec);
-        assert_eq!(points[0].report.issued, points[1].report.issued);
+        let runs = run_rows(spec.rows(), None, false);
+        assert_eq!(runs[0].1.issued, runs[1].1.issued);
         let figs = figures(&spec);
         let labels: Vec<&str> = figs[0].measured.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["messaging (venice)", "messaging (swap-eth)"]);

@@ -19,6 +19,7 @@ mod conformance;
 use conformance::{fingerprint, Conformance};
 use proptest::prelude::*;
 use venice_lease::LeaseConfig;
+use venice_loadgen::scenarios::{fault_free, run_rows};
 use venice_loadgen::{
     congestion, ArrivalProcess, FabricParams, LoadgenConfig, RemoteModelCfg, TenantMix,
 };
@@ -109,9 +110,10 @@ fn congested_storm_is_identical_at_both_rayon_widths() {
     let mut per_width = Vec::new();
     for width in ["1", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", width);
-        per_width.push(congestion::comparison_reports_scaled(
-            congestion::CONGESTION_SEED,
-            6_000,
+        per_width.push(run_rows(
+            fault_free(congestion::configs(congestion::CONGESTION_SEED)),
+            Some(6_000),
+            false,
         ));
     }
     std::env::remove_var("RAYON_NUM_THREADS");

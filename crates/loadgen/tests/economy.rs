@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 
 use venice_lease::{LeaseEventKind, NO_TENANT};
 use venice_loadgen::report::LoadReport;
+use venice_loadgen::scenarios::{fault_free, run_rows};
 use venice_loadgen::{economy, engine};
 
 /// Replays a report's lease timeline and checks the usage-conservation
@@ -210,8 +211,9 @@ fn economy_runs_replay_bit_identically() {
     // (d) Same seed, same rows — including across rayon widths, which
     // the determinism CI gate byte-diffs; here we pin the in-process
     // half at reduced scale.
-    let a = economy::comparison_reports_scaled(economy::ECONOMY_SEED, 8_000);
-    let b = economy::comparison_reports_scaled(economy::ECONOMY_SEED, 8_000);
+    let rows = || fault_free(economy::comparison_configs(economy::ECONOMY_SEED));
+    let a = run_rows(rows(), Some(8_000), false);
+    let b = run_rows(rows(), Some(8_000), false);
     assert_eq!(a, b);
     assert_eq!(a.len(), 4, "both families, two rows each");
 }

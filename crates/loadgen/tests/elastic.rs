@@ -7,11 +7,19 @@
 //! bit-identically from the same seed.
 
 use venice_lease::LeaseEventKind;
+use venice_loadgen::scenarios::{fault_free, run_rows};
 use venice_loadgen::{elastic, engine};
 
 #[test]
 fn elastic_beats_static_on_peak_memory_at_no_worse_p99() {
-    let reports = elastic::comparison_reports(elastic::ELASTIC_SEED);
+    let reports: Vec<_> = run_rows(
+        fault_free(elastic::comparison_configs(elastic::ELASTIC_SEED)),
+        None,
+        false,
+    )
+    .into_iter()
+    .map(|(label, report, _)| (label, report))
+    .collect();
     let get = |label: &str| {
         &reports
             .iter()

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use venice_lease::LeaseEventKind;
 use venice_loadgen::report::LoadReport;
+use venice_loadgen::scenarios::{fault_free, run_rows};
 use venice_loadgen::{elastic_v2, engine};
 
 /// Replays a report's lease timeline and checks the conservation law:
@@ -29,7 +30,14 @@ fn assert_ledger_conserves(label: &str, r: &LoadReport) {
 
 #[test]
 fn predictive_beats_reactive_and_donors_reclaim() {
-    let reports = elastic_v2::comparison_reports(elastic_v2::V2_SEED);
+    let reports: Vec<_> = run_rows(
+        fault_free(elastic_v2::comparison_configs(elastic_v2::V2_SEED)),
+        None,
+        false,
+    )
+    .into_iter()
+    .map(|(label, report, _)| (label, report))
+    .collect();
     let get = |label: &str| {
         &reports
             .iter()

@@ -12,11 +12,19 @@
 mod conformance;
 
 use conformance::Conformance;
+use venice_loadgen::scenarios::run_rows;
 use venice_loadgen::{engine, failover};
 
 #[test]
 fn elastic_failover_beats_static_through_a_node_crash() {
-    let reports = failover::comparison_reports(failover::FAILOVER_SEED);
+    let reports: Vec<_> = run_rows(
+        failover::comparison_configs(failover::FAILOVER_SEED),
+        None,
+        false,
+    )
+    .into_iter()
+    .map(|(label, report, _)| (label, report))
+    .collect();
     let get = |label: &str| {
         &reports
             .iter()
@@ -120,9 +128,10 @@ fn failover_rows_are_identical_at_both_rayon_widths() {
         // 150k requests ≈ 3.8 s of traffic: the 3 s crash still lands
         // mid-run, so the diff covers the chaos path, not just the
         // fault-free prefix.
-        per_width.push(failover::comparison_reports_scaled(
-            failover::FAILOVER_SEED,
-            150_000,
+        per_width.push(run_rows(
+            failover::comparison_configs(failover::FAILOVER_SEED),
+            Some(150_000),
+            false,
         ));
     }
     std::env::remove_var("RAYON_NUM_THREADS");

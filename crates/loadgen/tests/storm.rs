@@ -3,8 +3,9 @@
 //! per-tenant tails and throughput, and replaying bit-identically — plus
 //! thread-count independence of the rayon sweep.
 
+use venice_loadgen::scenarios::{self, fault_free, run_rows};
 use venice_loadgen::sweep::{self, SweepSpec};
-use venice_loadgen::{elastic, engine, scenarios, RemoteStack, TenantMix};
+use venice_loadgen::{elastic, engine, RemoteStack, TenantMix};
 
 #[test]
 fn storm_sustains_a_million_requests_across_three_mixes() {
@@ -74,10 +75,11 @@ fn figures_are_thread_count_independent_at_any_rayon_width() {
     // really does change the fan-out width of the next run.
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let single = sweep::figures(&spec);
-    let elastic_single = elastic::comparison_reports_scaled(7, 6_000);
+    let elastic_rows = || fault_free(elastic::comparison_configs(7));
+    let elastic_single = run_rows(elastic_rows(), Some(6_000), false);
     std::env::set_var("RAYON_NUM_THREADS", "8");
     let many = sweep::figures(&spec);
-    let elastic_many = elastic::comparison_reports_scaled(7, 6_000);
+    let elastic_many = run_rows(elastic_rows(), Some(6_000), false);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(single, many, "sweep output depends on thread count");
     assert!(!single.is_empty());
@@ -95,7 +97,7 @@ fn figures_are_thread_count_independent_at_any_rayon_width() {
     let serial = engine::Run::new(&config).execute().report;
     let parallel = &elastic_many
         .iter()
-        .find(|(l, _)| l == "venice-elastic")
+        .find(|(l, _, _)| l == "venice-elastic")
         .expect("elastic row present")
         .1;
     assert_eq!(&serial, parallel);
