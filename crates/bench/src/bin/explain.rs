@@ -2,7 +2,7 @@
 //! and the explain report.
 //!
 //! ```text
-//! explain [--out PATH] [--requests N] [--tick-ms T] [--cap N]
+//! explain [--out PATH] [--requests N]
 //! ```
 //!
 //! Runs the canonical elastic-vs-static pair — the same mix, seed, and
@@ -31,34 +31,25 @@
 
 use std::process::ExitCode;
 
+use venice_bench::{PROBE_RING_CAP, PROBE_TICK};
 use venice_loadgen::telemetry::tenant_labels;
 use venice_loadgen::{elastic, elastic_v2, engine, LoadgenConfig, RemoteStack};
-use venice_sim::Time;
 use venice_telemetry::attrib::STAGE_LABELS;
 use venice_telemetry::{export_attrib_jsonl, render_explain, AttribFold};
 
 /// Default request count per run: the elastic-v2 figure scale, so the
 /// committed artifact explains the same runs the figures plot.
 const DEFAULT_REQUESTS: u64 = 400_000;
-/// Default sim-time sampling tick, in milliseconds (sizes the probe's
-/// piggybacked sample ring; attribution itself is per-request).
-const DEFAULT_TICK_MS: u64 = 25;
-/// Default sample-ring capacity.
-const DEFAULT_CAP: usize = 48;
 
 struct Args {
     out: Option<String>,
     requests: u64,
-    tick_ms: u64,
-    cap: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         out: None,
         requests: DEFAULT_REQUESTS,
-        tick_ms: DEFAULT_TICK_MS,
-        cap: DEFAULT_CAP,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -73,24 +64,10 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--requests must be at least 1".to_string());
                 }
             }
-            "--tick-ms" => {
-                args.tick_ms = take("--tick-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tick-ms: {e}"))?;
-                if args.tick_ms == 0 {
-                    return Err("--tick-ms must be at least 1".to_string());
-                }
-            }
-            "--cap" => {
-                args.cap = take("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?;
-                if args.cap == 0 {
-                    return Err("--cap must be at least 1".to_string());
-                }
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}`\n\
-                     usage: explain [--out PATH] [--requests N] [--tick-ms T] [--cap N]"
+                     usage: explain [--out PATH] [--requests N]"
                 ))
             }
         }
@@ -100,14 +77,11 @@ fn parse_args() -> Result<Args, String> {
 
 /// Runs `config` probed, gates it against the no-op run, and returns
 /// its fold. Exits the process on a perturbation.
-fn gated_run(
-    label: &str,
-    config: &LoadgenConfig,
-    tick: Time,
-    cap: usize,
-) -> Result<AttribFold, String> {
+fn gated_run(label: &str, config: &LoadgenConfig) -> Result<AttribFold, String> {
     let plain = engine::Run::new(config).execute().report;
-    let out = engine::Run::new(config).attrib(tick, cap).execute();
+    let out = engine::Run::new(config)
+        .attrib(PROBE_TICK, PROBE_RING_CAP)
+        .execute();
     let fold = out.attrib_fold();
     let probed = out.report;
     let plain_json = serde_json::to_string(&plain).expect("report serializes");
@@ -137,8 +111,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let tick = Time::from_ms(args.tick_ms);
-
     let mut base_config = elastic::static_config(elastic_v2::V2_SEED, RemoteStack::VeniceCrma);
     base_config.requests = args.requests;
     let mut cand_config = elastic_v2::predictive_config(elastic_v2::V2_SEED);
@@ -147,8 +119,8 @@ fn main() -> ExitCode {
     let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
 
     let (base, cand) = match (
-        gated_run("static", &base_config, tick, args.cap),
-        gated_run("predictive", &cand_config, tick, args.cap),
+        gated_run("static", &base_config),
+        gated_run("predictive", &cand_config),
     ) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {

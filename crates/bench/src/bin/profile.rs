@@ -1,8 +1,7 @@
 //! Hot-path profiles and the `venice-telemetry-v2` artifact.
 //!
 //! ```text
-//! profile [--out PATH] [--requests N] [--tick-ms T] [--cap N]
-//!         [--iters K] [--gate-overhead PCT]
+//! profile [--out PATH] [--requests N] [--iters K] [--gate-overhead PCT]
 //! ```
 //!
 //! Runs the storm scenarios (three tenant mixes), the elastic-v2
@@ -28,34 +27,28 @@
 //! probed engine's best wall time exceeds the no-op best by more than
 //! `PCT` percent — the "cheap enough to leave on" claim, measured.
 //!
-//! Sampling cadence is `--tick-ms` (sim time) with a ring retaining the
-//! last `--cap` rows per scenario, so artifact size is bounded no
-//! matter the request count. Like `BENCH_perf.json`, the committed
-//! artifact is regenerated manually (`cargo run --release -p
-//! venice-bench --bin profile`), not freshness-diffed: its byte content
-//! is machine-independent, but regeneration is only meaningful when the
-//! engine's event flow changes.
+//! Sampling cadence is [`venice_bench::PROBE_TICK`] (sim time) with a
+//! ring retaining the last [`venice_bench::PROBE_RING_CAP`] rows per
+//! scenario, so artifact size is bounded no matter the request count.
+//! Like `BENCH_perf.json`, the committed artifact is regenerated
+//! manually (`cargo run --release -p venice-bench --bin profile`), not
+//! freshness-diffed: its byte content is machine-independent, but
+//! regeneration is only meaningful when the engine's event flow
+//! changes.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use venice_bench::{time_once, PROBE_RING_CAP, PROBE_TICK};
 use venice_loadgen::telemetry::EVENT_KIND_LABELS;
 use venice_loadgen::{economy, elastic_v2, engine, failover, scenarios, FaultPlan, LoadgenConfig};
-use venice_sim::Time;
 use venice_telemetry::export_jsonl;
 
 /// Default timing iterations for the overhead gate (best-of is kept).
 const DEFAULT_ITERS: u32 = 3;
-/// Default sim-time sampling tick, in milliseconds.
-const DEFAULT_TICK_MS: u64 = 25;
-/// Default ring capacity (retained sample rows per scenario).
-const DEFAULT_CAP: usize = 48;
 
 struct Args {
     out: Option<String>,
     requests: Option<u64>,
-    tick_ms: u64,
-    cap: usize,
     iters: u32,
     gate_overhead_pct: Option<f64>,
 }
@@ -64,8 +57,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         out: None,
         requests: None,
-        tick_ms: DEFAULT_TICK_MS,
-        cap: DEFAULT_CAP,
         iters: DEFAULT_ITERS,
         gate_overhead_pct: None,
     };
@@ -80,20 +71,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("--requests: {e}"))?,
                 )
-            }
-            "--tick-ms" => {
-                args.tick_ms = take("--tick-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tick-ms: {e}"))?;
-                if args.tick_ms == 0 {
-                    return Err("--tick-ms must be at least 1".to_string());
-                }
-            }
-            "--cap" => {
-                args.cap = take("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?;
-                if args.cap == 0 {
-                    return Err("--cap must be at least 1".to_string());
-                }
             }
             "--iters" => {
                 args.iters = take("--iters")?
@@ -113,8 +90,8 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 return Err(format!(
                     "unknown argument `{other}`\n\
-                     usage: profile [--out PATH] [--requests N] [--tick-ms T] \
-                     [--cap N] [--iters K] [--gate-overhead PCT]"
+                     usage: profile [--out PATH] [--requests N] [--iters K] \
+                     [--gate-overhead PCT]"
                 ))
             }
         }
@@ -158,13 +135,6 @@ fn start_run<'c>(config: &'c LoadgenConfig, plan: &Option<FaultPlan>) -> engine:
     run
 }
 
-/// One timed call of `f`, in milliseconds.
-fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let r = f();
-    (start.elapsed().as_secs_f64() * 1e3, r)
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -173,8 +143,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let tick = Time::from_ms(args.tick_ms);
-
     let mut artifact = String::new();
     let mut worst_overhead_pct = f64::NEG_INFINITY;
     for (scenario, mut config, plan) in grid() {
@@ -201,7 +169,11 @@ fn main() -> ExitCode {
             let (wall, r) = time_once(|| start(&config).execute().report);
             noop_wall_ms = noop_wall_ms.min(wall);
             noop_report = Some(r);
-            let (wall, out) = time_once(|| start(&config).recording(tick, args.cap).execute());
+            let (wall, out) = time_once(|| {
+                start(&config)
+                    .recording(PROBE_TICK, PROBE_RING_CAP)
+                    .execute()
+            });
             probed_wall_ms = probed_wall_ms.min(wall);
             probed = Some((out.profile_text(&scenario), out.report, out.probe));
         }

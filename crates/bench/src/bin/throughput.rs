@@ -9,7 +9,7 @@
 //! full scale) and the elastic-v2 controller scenarios (predictive
 //! growth, donor reclaim) through **both** engines — the typed
 //! zero-allocation event core (`venice_loadgen::engine`) and the frozen
-//! boxed-closure baseline (`venice_loadgen::legacy`) — on identical
+//! boxed-closure baseline (`venice_oracle::legacy`) — on identical
 //! configurations, and writes the measured trajectory to
 //! `BENCH_perf.json`: wall time (best of `--iters`), events/sec,
 //! requests/sec, peak event-queue depth, and the per-scenario speedup.
@@ -32,12 +32,12 @@
 //! event core changes materially.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use venice_bench::{
-    validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V2, SCALING_WIDTHS,
+    time_once, validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V2, SCALING_WIDTHS,
 };
-use venice_loadgen::{elastic_v2, engine, legacy, scenarios, EngineMetrics, LoadgenConfig};
+use venice_loadgen::{elastic_v2, engine, scenarios, EngineMetrics, LoadgenConfig};
+use venice_oracle::legacy;
 
 /// Default timing iterations (best-of is kept).
 const DEFAULT_ITERS: u32 = 3;
@@ -124,13 +124,6 @@ fn worker_threads() -> u32 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u32)
         .unwrap_or(1)
-}
-
-/// One timed call of `f`, in milliseconds.
-fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let r = f();
-    (start.elapsed().as_secs_f64() * 1e3, r)
 }
 
 fn measure(

@@ -7,11 +7,14 @@
 //! JSON for EXPERIMENTS.md. The Criterion benches under `benches/` time
 //! the scenario generators and the hot substrate paths.
 
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
 use venice::Figure;
 use venice_loadgen::scenarios::{self, fault_free, Row, RowRun};
 use venice_loadgen::sweep;
 use venice_loadgen::{congestion, economy, elastic, elastic_v2, failover};
+use venice_sim::Time;
 
 /// Schema tag stamped into `BENCH_perf.json` so the validator can
 /// reject artifacts written by an incompatible harness version.
@@ -390,6 +393,21 @@ pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
 
 /// Schema tag of each block in `BENCH_telemetry.jsonl`.
 pub const TELEMETRY_SCHEMA: &str = "venice-telemetry-v2";
+
+/// Sim-time sampling tick of the probes the `profile` and `explain`
+/// bins thread through their runs.
+pub const PROBE_TICK: Time = Time::from_ms(25);
+
+/// Sample rows the probe ring retains per scenario, so artifact size is
+/// bounded no matter the request count.
+pub const PROBE_RING_CAP: usize = 48;
+
+/// One timed call of `f`: its wall time in milliseconds and its result.
+pub fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let r = f();
+    (start.elapsed().as_secs_f64() * 1e3, r)
+}
 
 /// Extracts the bare integer value of `"key":<digits>` from a
 /// hand-formatted JSONL line.
@@ -1032,6 +1050,41 @@ mod tests {
             missing.join(", ")
         );
         assert!(doc.contains("shims/"), "the shims story is part of the map");
+    }
+
+    #[test]
+    fn only_the_bench_crate_depends_on_the_oracles() {
+        // The in-tree mirror of the CI oracle-boundary guard: the frozen
+        // oracles are for gates, so no crate but venice-bench may list
+        // venice-oracle under [dependencies] (a dev-dependency is fine).
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut offenders = Vec::new();
+        for entry in std::fs::read_dir(format!("{root}/crates")).expect("crates/ exists") {
+            let dir = entry.expect("readable dir entry").path();
+            let name = dir.file_name().expect("crate dir name").to_owned();
+            if name == "bench" {
+                continue;
+            }
+            let Ok(toml) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            let mut in_deps = false;
+            for line in toml.lines() {
+                if line.starts_with('[') {
+                    in_deps = line == "[dependencies]";
+                }
+                if line.starts_with("[dependencies.venice-oracle]")
+                    || (in_deps && line.starts_with("venice-oracle"))
+                {
+                    offenders.push(name.to_string_lossy().into_owned());
+                }
+            }
+        }
+        assert!(
+            offenders.is_empty(),
+            "crates/{{{}}} list venice-oracle under [dependencies]; only venice-bench may",
+            offenders.join(", ")
+        );
     }
 
     #[test]

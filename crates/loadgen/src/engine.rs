@@ -23,8 +23,9 @@
 //! request**, and per-request transport latency is precomputed per
 //! (node, tenant class) instead of re-derived on every dispatch. The
 //! pre-rewrite closure engine is preserved bit-for-bit compatible in
-//! [`crate::legacy`]; `cargo run --release -p venice-bench --bin
-//! throughput` times the two side by side into `BENCH_perf.json`.
+//! the unpublished `venice-oracle` crate (`venice_oracle::legacy`);
+//! `cargo run --release -p venice-bench --bin throughput` times the two
+//! side by side into `BENCH_perf.json`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -484,25 +485,39 @@ fn apply_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         lessor,
         &donor_ok,
     ) {
-        s.schedule_event_in(
-            lease.setup_time,
-            EngineEvent::LeaseEstablished(Box::new(LeaseEstablish {
-                node,
-                generation,
-                lease,
-                class_tag: tenant,
-                lat,
-                failover_of: 0,
-            })),
-        );
-        sync_donor_pressure(w, lease.donor.0);
-        if P::ENABLED {
-            w.probe
-                .span_open(SpanKind::Establish, node, generation, now);
-        }
-        if P::ATTRIB {
-            w.pending_grows[node as usize] += 1;
-        }
+        let est = LeaseEstablish {
+            node,
+            generation,
+            lease,
+            class_tag: tenant,
+            lat,
+            failover_of: 0,
+        };
+        start_establish(w, s, now, est);
+    }
+}
+
+/// Follows a successful borrow: schedules the establish completion
+/// `est.lease.setup_time` out, bumps the donor's lent pressure, and
+/// opens the establish span.
+fn start_establish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'a, P, M, F>,
+    s: &mut Sched<'a, P, M, F>,
+    now: Time,
+    est: LeaseEstablish,
+) {
+    let (node, generation, donor) = (est.node, est.generation, est.lease.donor.0);
+    s.schedule_event_in(
+        est.lease.setup_time,
+        EngineEvent::LeaseEstablished(Box::new(est)),
+    );
+    sync_donor_pressure(w, donor);
+    if P::ENABLED {
+        w.probe
+            .span_open(SpanKind::Establish, node, generation, now);
+    }
+    if P::ATTRIB {
+        w.pending_grows[node as usize] += 1;
     }
 }
 
@@ -698,10 +713,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
                     let tier = w.elastic.as_mut().expect("elastic run");
                     tier.manager
                         .confirm_failover(now, donor, recipient, generation, priority);
-                    let model = &mut w.servers[recipient as usize].model;
-                    model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-                    recompile_service(w, recipient as usize);
-                    sync_fabric_route(w, recipient as usize);
+                    lose_remote_bytes(w, recipient as usize, lease.bytes);
                     sync_donor_pressure(w, donor);
                     if P::ENABLED {
                         w.probe
@@ -1669,6 +1681,29 @@ fn sync_fabric_route<P: Probe, M: RemoteModel, F: FaultModel>(
     w.remote.set_route(node, donor);
 }
 
+/// Drops `bytes` from `node`'s remote tier — a lease released, revoked
+/// or lost — and moves its service models and fabric route with it.
+fn lose_remote_bytes<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'_, P, M, F>,
+    node: usize,
+    bytes: u64,
+) {
+    let model = &mut w.servers[node].model;
+    model.remote_bytes = model.remote_bytes.saturating_sub(bytes);
+    recompile_service(w, node);
+    sync_fabric_route(w, node);
+}
+
+/// The lease priority of tenant class `tag`; an unattributed tier
+/// (`NO_TAG`) borrows at `Normal`.
+fn class_priority(classes: &[TenantClass], tag: u32) -> Priority {
+    if tag == NO_TAG {
+        Priority::Normal
+    } else {
+        classes[tag as usize].priority
+    }
+}
+
 /// Applies a donor-demanded revoke once its modeled teardown flow
 /// completes: the grant is pulled back through the real Monitor–Node
 /// path ([`Cluster::revoke`]), the manager's ledger is repaid, and the
@@ -1691,10 +1726,7 @@ fn apply_revoke<P: Probe, M: RemoteModel, F: FaultModel>(
     let tier = w.elastic.as_mut().expect("elastic run");
     tier.manager
         .confirm_revoke(now, donor, recipient as u16, generation, priority);
-    let model = &mut w.servers[recipient].model;
-    model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-    recompile_service(w, recipient);
-    sync_fabric_route(w, recipient);
+    lose_remote_bytes(w, recipient, lease.bytes);
     // The reclaimed pool speeds the donor back up — the whole point of
     // a cost-aware revoke.
     sync_donor_pressure(w, donor);
@@ -1809,18 +1841,10 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 .purge(lease.grant_id)
                 .expect("visible grant is on the cluster ledger");
             let tier = w.elastic.as_mut().expect("checked above");
-            let tag = tier.tags[recipient];
-            let priority = if tag == NO_TAG {
-                Priority::Normal
-            } else {
-                w.classes[tag as usize].priority
-            };
+            let priority = class_priority(&w.classes, tier.tags[recipient]);
             tier.manager
                 .confirm_failover(now, donor, recipient as u16, generation, priority);
-            let model = &mut w.servers[recipient].model;
-            model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-            recompile_service(w, recipient);
-            sync_fabric_route(w, recipient);
+            lose_remote_bytes(w, recipient, lease.bytes);
             sync_donor_pressure(w, donor);
             if P::ENABLED {
                 w.probe
@@ -1851,10 +1875,7 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             .expect("purging a node's grants cannot fail");
         for lease in purged {
             let recipient = lease.recipient.0 as usize;
-            let model = &mut w.servers[recipient].model;
-            model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-            recompile_service(w, recipient);
-            sync_fabric_route(w, recipient);
+            lose_remote_bytes(w, recipient, lease.bytes);
         }
     }
 }
@@ -1887,11 +1908,7 @@ fn regrow_after_failover<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     lost_generation: u64,
 ) {
     let tenant = w.elastic.as_ref().expect("elastic run").tags[node as usize];
-    let priority = if tenant == NO_TAG {
-        Priority::Normal
-    } else {
-        w.classes[tenant as usize].priority
-    };
+    let priority = class_priority(&w.classes, tenant);
     let donor_ok = |d: venice::NodeId| w.faults.node_up(d.0) && w.remote.donor_ok(now, node, d.0);
     let tier = w.elastic.as_mut().expect("elastic run");
     if let Some((generation, lease, lat)) = grow_lease(
@@ -1905,25 +1922,15 @@ fn regrow_after_failover<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         None,
         &donor_ok,
     ) {
-        s.schedule_event_in(
-            lease.setup_time,
-            EngineEvent::LeaseEstablished(Box::new(LeaseEstablish {
-                node,
-                generation,
-                lease,
-                class_tag: tenant,
-                lat,
-                failover_of: lost_generation,
-            })),
-        );
-        sync_donor_pressure(w, lease.donor.0);
-        if P::ENABLED {
-            w.probe
-                .span_open(SpanKind::Establish, node, generation, now);
-        }
-        if P::ATTRIB {
-            w.pending_grows[node as usize] += 1;
-        }
+        let est = LeaseEstablish {
+            node,
+            generation,
+            lease,
+            class_tag: tenant,
+            lat,
+            failover_of: lost_generation,
+        };
+        start_establish(w, s, now, est);
     }
 }
 
@@ -1963,11 +1970,7 @@ fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 lent_chunks: lent[i],
                 lent_pressure: (lent_bytes[i] as f64 / LENDABLE_PER_NODE as f64).min(1.0),
                 tenant,
-                priority: if tenant == NO_TAG {
-                    Priority::Normal
-                } else {
-                    w.classes[tenant as usize].priority
-                },
+                priority: class_priority(&w.classes, tenant),
             }
         })
         .collect();
@@ -1985,12 +1988,7 @@ fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             }
             LeaseAction::Shrink { node } => {
                 let tier = w.elastic.as_mut().expect("checked above");
-                let tag = tier.tags[node as usize];
-                let priority = if tag == NO_TAG {
-                    Priority::Normal
-                } else {
-                    w.classes[tag as usize].priority
-                };
+                let priority = class_priority(&w.classes, tier.tags[node as usize]);
                 // Only a *visible* lease can be released — a grow still
                 // in its establish flow is not on the stack yet, and a
                 // revoke-pending chunk is already off this stack. The
@@ -2001,10 +1999,7 @@ fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                         .release(lease)
                         .expect("visible lease releases cleanly");
                     tier.manager.confirm_shrink(now, node, generation, priority);
-                    let model = &mut w.servers[node as usize].model;
-                    model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-                    recompile_service(w, node as usize);
-                    sync_fabric_route(w, node as usize);
+                    lose_remote_bytes(w, node as usize, lease.bytes);
                     // The release repays the donor's pool immediately.
                     sync_donor_pressure(w, lease.donor.0);
                     if P::ENABLED {
@@ -3286,23 +3281,5 @@ mod tests {
         // completions.
         assert!(metrics.events > report.issued);
         assert!(metrics.peak_queue_depth > 0);
-    }
-
-    #[test]
-    fn typed_engine_matches_the_legacy_oracle_bit_for_bit() {
-        // The headline differential check at unit-test granularity (the
-        // property test sweeps arbitrary configs; CI byte-diffs the
-        // bench bin): same seed, same config → identical report AND
-        // identical trace through both event cores.
-        let config = small(77);
-        let (typed_report, typed_trace) = run_traced(&config);
-        let (legacy_report, legacy_trace) = crate::legacy::run_traced(&config);
-        assert_eq!(typed_report, legacy_report);
-        assert_eq!(typed_trace, legacy_trace);
-        // And replay agrees on the borrowed-trace path too.
-        assert_eq!(
-            replay(&config, &typed_trace),
-            crate::legacy::replay(&config, &legacy_trace)
-        );
     }
 }

@@ -81,7 +81,6 @@ pub mod elastic_v2;
 pub mod engine;
 pub mod failover;
 pub mod faults;
-pub mod legacy;
 pub mod remote;
 pub mod report;
 pub mod scenarios;

@@ -3,8 +3,8 @@
 //!
 //! The paper prices every remote access with a per-node measured CRMA
 //! scalar. That is the frozen differential baseline — [`ScalarCrma`]
-//! keeps it bit-for-bit, the same way [`crate::legacy`] freezes the
-//! boxed-closure event core — but it makes CRMA latency a constant,
+//! keeps it bit-for-bit, the same way `venice_oracle::legacy` freezes
+//! the boxed-closure event core — but it makes CRMA latency a constant,
 //! independent of *where* the bytes travel. [`CongestedFabric`] routes
 //! each request's remote bytes over the real mesh instead: it compiles
 //! the all-pairs path table once ([`venice_fabric::PathTable`], built
@@ -104,7 +104,7 @@ impl FabricParams {
 
 /// Which remote-transfer model a [`crate::LoadgenConfig`] arms.
 ///
-/// Only the typed engine models congestion; [`crate::legacy`] ignores
+/// Only the typed engine models congestion; `venice_oracle::legacy` ignores
 /// this field (it predates the fabric-in-hot-path work and exists as a
 /// frozen oracle for the default scalar configuration).
 #[derive(Debug, Clone, PartialEq)]

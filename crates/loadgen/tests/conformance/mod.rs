@@ -27,7 +27,8 @@
 // different subset of the driver (legacy leg, fault leg, fingerprint).
 #![allow(dead_code)]
 
-use venice_loadgen::{engine, legacy, FaultPlan, LoadReport, LoadgenConfig, Trace};
+use venice_loadgen::{engine, FaultPlan, LoadReport, LoadgenConfig, Trace};
+use venice_oracle::legacy;
 
 /// Shard widths every conformance run exercises (width 1 is the
 /// reference itself; the bench curve covers `[1, 2, 4, 8]`).

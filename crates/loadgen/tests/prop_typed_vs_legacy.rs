@@ -1,8 +1,8 @@
 //! Differential property tests: the typed zero-allocation event core
 //! against the frozen boxed-closure baseline.
 //!
-//! The `crate::legacy` module preserves the seed engine (boxed `FnOnce`
-//! events on `venice_sim::boxed`, per-request model re-derivation,
+//! The `venice_oracle::legacy` module preserves the seed engine (boxed
+//! `FnOnce` events on `venice_oracle::boxed`, per-request model re-derivation,
 //! per-tick clones). Every optimization in the typed engine — enum
 //! events, the indexed near-buffer queue, compiled service models,
 //! lookahead arrival fusion, the request slab, the sharded parallel
@@ -17,7 +17,8 @@ mod conformance;
 use conformance::Conformance;
 use proptest::prelude::*;
 use venice_lease::LeaseConfig;
-use venice_loadgen::{engine, legacy, ArrivalProcess, LoadgenConfig, TenantMix};
+use venice_loadgen::{engine, ArrivalProcess, LoadgenConfig, TenantMix};
+use venice_oracle::legacy;
 use venice_sim::Time;
 
 proptest! {
@@ -144,4 +145,29 @@ fn typed_vs_legacy_holds_at_both_rayon_thread_counts() {
     for (config, typed) in configs.iter().zip(&per_width[0]) {
         assert_eq!(typed, &legacy::run(config), "mix {}", config.mix.name);
     }
+}
+
+#[test]
+fn typed_engine_matches_the_legacy_oracle_bit_for_bit() {
+    // The headline differential check at unit-test granularity (the
+    // property tests above sweep arbitrary configs; CI byte-diffs the
+    // bench bin): same seed, same config → identical report AND
+    // identical trace through both event cores.
+    let config = LoadgenConfig {
+        requests: 3_000,
+        ..LoadgenConfig::new(77, TenantMix::web_frontend())
+    };
+    let typed = engine::Run::new(&config).traced().execute();
+    let (typed_report, typed_trace) = (typed.report, typed.trace.expect("tracing was requested"));
+    let (legacy_report, legacy_trace) = legacy::run_traced(&config);
+    assert_eq!(typed_report, legacy_report);
+    assert_eq!(typed_trace, legacy_trace);
+    // And replay agrees on the borrowed-trace path too.
+    assert_eq!(
+        engine::Run::new(&config)
+            .replay(&typed_trace)
+            .execute()
+            .report,
+        legacy::replay(&config, &legacy_trace)
+    );
 }

@@ -4,7 +4,7 @@
 //! This module is the PR 1–3 kernel and queue, frozen: events are
 //! heap-allocated `Box<dyn FnOnce>` closures and the queue is a
 //! `BinaryHeap` whose sifts shuffle fat `(Time, seq, Box)` entries. The
-//! typed event core in [`crate::kernel`]/[`crate::queue`] replaced it on
+//! typed event core in [`venice_sim::kernel`]/[`venice_sim::queue`] replaced it on
 //! every hot path, but it stays in-tree for two jobs:
 //!
 //! * **Perf baseline.** The `throughput` bench bin drives the legacy
@@ -17,12 +17,12 @@
 //!   up as a diff against code that has not changed.
 //!
 //! Do not build new simulations on this module — implement
-//! [`crate::SimEvent`] instead.
+//! [`venice_sim::SimEvent`] instead.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::Time;
+use venice_sim::Time;
 
 /// A scheduled closure event.
 pub type Event<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
@@ -109,7 +109,7 @@ impl<S> std::fmt::Debug for Scheduler<S> {
 /// # Example
 ///
 /// ```
-/// use venice_sim::boxed::Kernel;
+/// use venice_oracle::boxed::Kernel;
 /// use venice_sim::Time;
 /// let mut k = Kernel::new(0u32);
 /// k.schedule(Time::from_ns(1), |n: &mut u32, _| *n += 1);

@@ -1,8 +1,8 @@
 //! The seed (PR 1–3) boxed-closure traffic engine, frozen as the
 //! measured performance baseline and differential-testing oracle.
 //!
-//! This module is the pre-rewrite [`crate::engine`] preserved verbatim
-//! on [`venice_sim::boxed`] — every event is a heap-allocated
+//! This module is the pre-rewrite [`venice_loadgen::engine`] preserved
+//! verbatim on [`crate::boxed`] — every event is a heap-allocated
 //! `Box<dyn FnOnce>` closure popped from the original fat-entry
 //! `BinaryHeap` queue, the per-tick `Vec` clones are kept, and `replay`
 //! still clones its input trace. It exists for exactly two callers:
@@ -11,12 +11,13 @@
 //!   engine on identical configurations and records both in
 //!   `BENCH_perf.json` — the speedup claim is measured against the real
 //!   predecessor, not a strawman; and
-//! * the differential tests (`tests/prop_typed_vs_legacy.rs` and the
-//!   bench bin's own report-equality gate), which pin the typed engine
-//!   to **bit-identical** traces and reports against this code.
+//! * the differential tests (`crates/loadgen/tests/prop_typed_vs_legacy.rs`,
+//!   the conformance harness's legacy leg, and the bench bin's own
+//!   report-equality gate), which pin the typed engine to
+//!   **bit-identical** traces and reports against this code.
 //!
-//! Behavioral changes belong in [`crate::engine`]; if one is intentional
-//! this baseline must be updated in lockstep or retired — the
+//! Behavioral changes belong in [`venice_loadgen::engine`]; if one is
+//! intentional this baseline must be updated in lockstep or retired — the
 //! differential gate fails loudly either way.
 
 use std::collections::VecDeque;
@@ -24,18 +25,19 @@ use std::collections::VecDeque;
 use venice::cluster::Cluster;
 use venice::NodeId;
 use venice_lease::{LeaseAction, LeaseManager, NodeSignal, Priority, NO_TENANT};
-use venice_sim::boxed::{Kernel, Scheduler};
 use venice_sim::{LogHistogram, SimRng, Time};
 use venice_transport::qpair::QpairError;
 use venice_transport::{PathModel, QpairConfig, QueuePair};
 
-use crate::admission::{AdmissionControl, Decision, ShedReason};
-use crate::arrival::ArrivalProcess;
-use crate::engine::LoadgenConfig;
-use crate::report::{LeaseSummary, LoadReport, TenantReport};
-use crate::stacks::RemoteStack;
-use crate::tenants::{NodeModel, RequestProfile, TenantClass};
-use crate::trace::{RequestOutcome, RequestRecord, Trace};
+use venice_loadgen::admission::{AdmissionControl, Decision, ShedReason};
+use venice_loadgen::arrival::ArrivalProcess;
+use venice_loadgen::engine::LoadgenConfig;
+use venice_loadgen::report::{LeaseSummary, LoadReport, TenantReport};
+use venice_loadgen::stacks::RemoteStack;
+use venice_loadgen::tenants::{NodeModel, RequestProfile, TenantClass};
+use venice_loadgen::trace::{RequestOutcome, RequestRecord, Trace};
+
+use crate::boxed::{Kernel, Scheduler};
 
 // # Seed-cost substrate
 //
@@ -1291,8 +1293,8 @@ fn run_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenants::TenantMix;
     use venice_lease::LeaseConfig;
+    use venice_loadgen::tenants::TenantMix;
 
     fn small(seed: u64) -> LoadgenConfig {
         LoadgenConfig {
@@ -1302,7 +1304,7 @@ mod tests {
     }
 
     // The full behavioral suite lives on the typed engine in
-    // `crate::engine`; these smoke tests only guard the oracle itself —
+    // `venice_loadgen::engine`; these smoke tests only guard the oracle itself —
     // if the frozen baseline stops conserving requests or replaying
     // deterministically, every differential result is meaningless.
 

@@ -1,20 +1,12 @@
-//! The event loop: typed events over user state, with a boxed-closure
-//! compatibility layer.
+//! The event loop: typed events over user state.
 //!
 //! Every Venice experiment is a `Kernel<S, E>` where `S` holds the
-//! modeled world (nodes, channels, tables) and `E` is the event type.
-//! Two flavors share one loop:
-//!
-//! * **Typed events** (the fast path): `E` is a plain enum implementing
-//!   [`SimEvent`]. Events are scheduled *by value* — no heap allocation,
-//!   no virtual dispatch — and fired through a monomorphic `match`. This
-//!   is what the loadgen engine runs on; see `BENCH_perf.json` for the
-//!   measured gap versus the boxed path.
-//! * **Boxed closures** (the compatibility layer): the original
-//!   `FnOnce(&mut S, &mut Scheduler<S>)` API, wrapped in
-//!   [`ClosureEvent`] — which itself just implements [`SimEvent`]. All
-//!   pre-existing callers (`Kernel<S>` with closure `schedule`) compile
-//!   unchanged because `E` defaults to `ClosureEvent<S>`.
+//! modeled world (nodes, channels, tables) and `E` is the event type: a
+//! plain enum implementing [`SimEvent`]. Events are scheduled *by value*
+//! — no heap allocation, no virtual dispatch — and fired through a
+//! monomorphic `match`. `BENCH_perf.json` records the measured gap
+//! versus the seed's boxed-closure core, which is kept as a frozen
+//! baseline outside this crate.
 //!
 //! The split between [`Kernel`] (owns state, runs the loop) and
 //! [`Scheduler`] (owns the queue and clock) is what lets an event borrow
@@ -65,27 +57,9 @@ pub trait SimEvent<S>: Sized {
     fn fire(self, state: &mut S, sched: &mut Scheduler<S, Self>);
 }
 
-/// A boxed-closure event: the compatibility layer over [`SimEvent`].
-///
-/// This is the original event representation — one heap allocation and
-/// one indirect call per event (except for zero-sized closures, which
-/// `Box` stores without allocating). New simulations should define a
-/// typed event enum instead; this wrapper exists so the large body of
-/// closure-based models and tests keeps working unchanged.
-pub struct ClosureEvent<S>(BoxedHandler<S>);
-
-/// The boxed closure a [`ClosureEvent`] wraps.
-type BoxedHandler<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
-
-impl<S> SimEvent<S> for ClosureEvent<S> {
-    fn fire(self, state: &mut S, sched: &mut Scheduler<S, Self>) {
-        (self.0)(state, sched)
-    }
-}
-
 /// Clock plus pending-event queue; handed to every event so it can
 /// schedule follow-ups.
-pub struct Scheduler<S, E = ClosureEvent<S>> {
+pub struct Scheduler<S, E> {
     now: Time,
     queue: EventQueue<E>,
     executed: u64,
@@ -164,13 +138,6 @@ impl<S, E> Scheduler<S, E> {
         self.queue.slab_occupancy()
     }
 
-    /// `(earliest, latest)` fire times among pending events — how far
-    /// into the simulated future the run has committed work. `None`
-    /// when the queue is empty.
-    pub fn pending_time_span(&self) -> Option<(Time, Time)> {
-        self.queue.pending_time_span()
-    }
-
     /// Timestamp of the next pending event, if any.
     ///
     /// Together with [`advance_to`](Self::advance_to) this enables
@@ -206,30 +173,6 @@ impl<S, E> Scheduler<S, E> {
     }
 }
 
-impl<S> Scheduler<S> {
-    /// Schedules closure `f` to run `delay` after the current time
-    /// (compatibility path; allocates unless `f` is zero-sized).
-    pub fn schedule_in<F>(&mut self, delay: Time, f: F)
-    where
-        F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    {
-        self.schedule_event_in(delay, ClosureEvent(Box::new(f)));
-    }
-
-    /// Schedules closure `f` at absolute time `at` (compatibility path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time (events may not run
-    /// in the past).
-    pub fn schedule_at<F>(&mut self, at: Time, f: F)
-    where
-        F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    {
-        self.schedule_event_at(at, ClosureEvent(Box::new(f)));
-    }
-}
-
 impl<S, E> std::fmt::Debug for Scheduler<S, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
@@ -240,22 +183,10 @@ impl<S, E> std::fmt::Debug for Scheduler<S, E> {
     }
 }
 
-/// A discrete-event simulation: user state plus the event loop.
+/// A discrete-event simulation: user state `S` plus the event loop over
+/// typed events `E: SimEvent<S>`.
 ///
-/// `Kernel<S>` is the closure-compatible flavor; `Kernel<S, E>` with a
-/// typed `E: SimEvent<S>` is the zero-allocation fast path.
-///
-/// # Example: closures (compat flavor)
-///
-/// ```
-/// use venice_sim::{Kernel, Time};
-/// let mut k = Kernel::new(0u32);
-/// k.schedule(Time::from_ns(1), |n: &mut u32, _| *n += 1);
-/// k.run();
-/// assert_eq!(*k.state(), 1);
-/// ```
-///
-/// # Example: a minimal typed-event simulation
+/// # Example: a minimal simulation
 ///
 /// A tiny server: arrivals every 10 µs, a fixed 25 µs service time, one
 /// slot — a request either starts service immediately or queues behind
@@ -304,7 +235,7 @@ impl<S, E> std::fmt::Debug for Scheduler<S, E> {
 /// // Arrivals outpace the 25 µs service: the last departure is at 100 µs.
 /// assert_eq!(k.now(), Time::from_us(100));
 /// ```
-pub struct Kernel<S, E = ClosureEvent<S>> {
+pub struct Kernel<S, E> {
     state: S,
     sched: Scheduler<S, E>,
 }
@@ -393,12 +324,6 @@ impl<S, E> Kernel<S, E> {
     pub fn slab_occupancy(&self) -> (usize, usize) {
         self.sched.slab_occupancy()
     }
-
-    /// `(earliest, latest)` fire times among pending events, or `None`
-    /// when the queue is empty.
-    pub fn pending_time_span(&self) -> Option<(Time, Time)> {
-        self.sched.pending_time_span()
-    }
 }
 
 impl<S, E: SimEvent<S>> Kernel<S, E> {
@@ -430,39 +355,6 @@ impl<S, E: SimEvent<S>> Kernel<S, E> {
             }
         }
     }
-
-    /// Runs until the clock reaches at least `until` (executing every event
-    /// timestamped `<= until`, but never past the horizon), then returns
-    /// the current time.
-    pub fn run_until(&mut self, until: Time) -> Time {
-        loop {
-            match self.sched.queue.peek_time() {
-                Some(at) if at <= until => {
-                    // `step` refuses events beyond the horizon; stop
-                    // rather than re-peeking the same event forever.
-                    if !self.step() {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        if self.sched.now < until {
-            self.sched.now = until;
-        }
-        self.sched.now
-    }
-}
-
-impl<S> Kernel<S> {
-    /// Schedules closure `f` to run `delay` after the current time
-    /// (compatibility path).
-    pub fn schedule<F>(&mut self, delay: Time, f: F)
-    where
-        F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    {
-        self.sched.schedule_in(delay, f);
-    }
 }
 
 impl<S: std::fmt::Debug, E> std::fmt::Debug for Kernel<S, E> {
@@ -479,106 +371,24 @@ impl<S: std::fmt::Debug, E> std::fmt::Debug for Kernel<S, E> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn events_run_in_time_order() {
-        let mut k = Kernel::new(Vec::new());
-        k.schedule(Time::from_ns(30), |v: &mut Vec<u32>, _| v.push(3));
-        k.schedule(Time::from_ns(10), |v: &mut Vec<u32>, _| v.push(1));
-        k.schedule(Time::from_ns(20), |v: &mut Vec<u32>, _| v.push(2));
-        let end = k.run();
-        assert_eq!(k.state(), &vec![1, 2, 3]);
-        assert_eq!(end, Time::from_ns(30));
-    }
+    /// Appends its value to a log when it fires.
+    struct Push(u32);
 
-    #[test]
-    fn events_can_chain() {
-        let mut k = Kernel::new(0u64);
-        fn tick(n: &mut u64, s: &mut Scheduler<u64>) {
-            *n += 1;
-            if *n < 5 {
-                s.schedule_in(Time::from_ns(10), tick);
-            }
+    impl SimEvent<Vec<u32>> for Push {
+        fn fire(self, log: &mut Vec<u32>, _: &mut Scheduler<Vec<u32>, Push>) {
+            log.push(self.0);
         }
-        k.schedule(Time::ZERO, tick);
-        k.run();
-        assert_eq!(*k.state(), 5);
-        assert_eq!(k.now(), Time::from_ns(40));
-        assert_eq!(k.executed(), 5);
     }
 
-    #[test]
-    fn pending_time_span_tracks_the_committed_future() {
-        let mut k = Kernel::new(0u32);
-        assert_eq!(k.pending_time_span(), None);
-        for i in 1..=5 {
-            k.schedule(Time::from_ns(i * 10), |n: &mut u32, _| *n += 1);
-        }
-        assert_eq!(
-            k.pending_time_span(),
-            Some((Time::from_ns(10), Time::from_ns(50)))
-        );
-        k.step();
-        assert_eq!(
-            k.pending_time_span(),
-            Some((Time::from_ns(20), Time::from_ns(50)))
-        );
-    }
-
-    #[test]
-    fn horizon_stops_the_loop() {
-        let mut k = Kernel::new(0u32).with_horizon(Time::from_ns(25));
-        for i in 1..=5 {
-            k.schedule(Time::from_ns(i * 10), |n: &mut u32, _| *n += 1);
-        }
-        k.run();
-        assert_eq!(*k.state(), 2); // events at 10 and 20 only
-        assert_eq!(k.pending(), 3);
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_idle() {
-        let mut k: Kernel<()> = Kernel::new(());
-        let t = k.run_until(Time::from_us(7));
-        assert_eq!(t, Time::from_us(7));
-    }
-
-    #[test]
-    fn run_until_terminates_when_horizon_blocks_a_due_event() {
-        // An event due before `until` but beyond the horizon must not
-        // spin the loop forever: run_until stops at the horizon.
-        let mut k = Kernel::new(0u32).with_horizon(Time::from_us(5));
-        k.schedule(Time::from_us(8), |n: &mut u32, _| *n += 1);
-        let t = k.run_until(Time::from_us(10));
-        assert_eq!(*k.state(), 0, "event beyond the horizon must not run");
-        assert_eq!(k.pending(), 1);
-        assert_eq!(t, Time::from_us(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_catches_runaways() {
-        let mut k = Kernel::new(()).with_event_limit(100);
-        fn forever(_: &mut (), s: &mut Scheduler<()>) {
-            s.schedule_in(Time::from_ns(1), forever);
-        }
-        k.schedule(Time::ZERO, forever);
-        k.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn scheduling_into_past_panics() {
-        let mut k = Kernel::new(());
-        k.schedule(Time::from_ns(10), |_, s| {
-            s.schedule_at(Time::from_ns(5), |_, _| {});
-        });
-        k.run();
-    }
-
-    /// A typed counter event used by the generic-path tests below.
+    /// A typed counter event.
     enum CounterEv {
         Bump(u32),
-        Chain { left: u32, gap: Time },
+        Chain {
+            left: u32,
+            gap: Time,
+        },
+        /// Schedules a `Bump(1)` at an absolute time.
+        BumpAt(Time),
     }
 
     impl SimEvent<u32> for CounterEv {
@@ -597,8 +407,69 @@ mod tests {
                         );
                     }
                 }
+                CounterEv::BumpAt(at) => s.schedule_event_at(at, CounterEv::Bump(1)),
             }
         }
+    }
+
+    #[test]
+    fn events_run_in_time_order() {
+        let mut k: Kernel<Vec<u32>, Push> = Kernel::new(Vec::new());
+        k.schedule_event(Time::from_ns(30), Push(3));
+        k.schedule_event(Time::from_ns(10), Push(1));
+        k.schedule_event(Time::from_ns(20), Push(2));
+        let end = k.run();
+        assert_eq!(k.state(), &vec![1, 2, 3]);
+        assert_eq!(end, Time::from_ns(30));
+    }
+
+    #[test]
+    fn events_can_chain() {
+        let mut k: Kernel<u32, CounterEv> = Kernel::new(0);
+        k.schedule_event(
+            Time::ZERO,
+            CounterEv::Chain {
+                left: 5,
+                gap: Time::from_ns(10),
+            },
+        );
+        k.run();
+        assert_eq!(*k.state(), 5);
+        assert_eq!(k.now(), Time::from_ns(40));
+        assert_eq!(k.executed(), 5);
+    }
+
+    #[test]
+    fn horizon_stops_the_loop() {
+        let mut k: Kernel<u32, CounterEv> = Kernel::new(0).with_horizon(Time::from_ns(25));
+        for i in 1..=5 {
+            k.schedule_event(Time::from_ns(i * 10), CounterEv::Bump(1));
+        }
+        k.run();
+        assert_eq!(*k.state(), 2); // events at 10 and 20 only
+        assert_eq!(k.pending(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "event limit")]
+    fn event_limit_catches_runaways() {
+        let mut k: Kernel<u32, CounterEv> = Kernel::new(0).with_event_limit(100);
+        k.schedule_event(
+            Time::ZERO,
+            CounterEv::Chain {
+                left: u32::MAX,
+                gap: Time::from_ns(1),
+            },
+        );
+        k.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn scheduling_into_past_panics() {
+        let mut k: Kernel<u32, CounterEv> = Kernel::new(0);
+        k.schedule_event(Time::from_ns(10), CounterEv::BumpAt(Time::from_ns(5)));
+        k.run();
     }
 
     #[test]
@@ -628,34 +499,5 @@ mod tests {
         k.run();
         assert_eq!(*k.state(), 3); // 0, 5, 10
         assert_eq!(k.pending(), 2);
-    }
-
-    #[test]
-    fn typed_and_closure_kernels_agree() {
-        // The same chain model through both event representations lands
-        // on identical state, clock, and executed-event counts.
-        let mut typed: Kernel<u32, CounterEv> = Kernel::new(0);
-        typed.schedule_event(
-            Time::ZERO,
-            CounterEv::Chain {
-                left: 100,
-                gap: Time::from_ns(7),
-            },
-        );
-        typed.run();
-
-        let mut boxed = Kernel::new(0u32);
-        fn chain(n: &mut u32, s: &mut Scheduler<u32>) {
-            *n += 1;
-            if *n < 100 {
-                s.schedule_in(Time::from_ns(7), chain);
-            }
-        }
-        boxed.schedule(Time::ZERO, chain);
-        boxed.run();
-
-        assert_eq!(typed.state(), boxed.state());
-        assert_eq!(typed.now(), boxed.now());
-        assert_eq!(typed.executed(), boxed.executed());
     }
 }

@@ -299,38 +299,6 @@ impl<E> EventQueue<E> {
             .map(|packed| Time::from_ps((packed >> 64) as u64))
     }
 
-    /// The `(earliest, latest)` timestamps among pending events, or
-    /// `None` when empty.
-    ///
-    /// Every key already packs its fire time in the high 64 bits (the
-    /// heap orders by it), so the span costs one scan of the key arrays
-    /// and never touches the event slab — the lookahead horizon a
-    /// profiler needs ("how far into the simulated future has the run
-    /// committed work") without instrumenting push/pop.
-    pub fn pending_time_span(&self) -> Option<(Time, Time)> {
-        let min = self.min_packed()?;
-        // The near buffer is sorted descending, so its maximum is the
-        // first entry; the heap's maximum can sit in any leaf.
-        let near_max = self.near.first().map(|(k, _)| k.packed);
-        let heap_max = self.heap.iter().map(|k| k.packed).max();
-        let max = near_max.max(heap_max).expect("non-empty queue has a max");
-        Some((
-            Time::from_ps((min >> 64) as u64),
-            Time::from_ps((max >> 64) as u64),
-        ))
-    }
-
-    /// Timestamps of all pending events, in no particular order. Visits
-    /// the packed keys only (the event payloads stay untouched); the
-    /// caller sorts or folds as needed.
-    pub fn pending_times(&self) -> impl Iterator<Item = Time> + '_ {
-        self.near
-            .iter()
-            .map(|(k, _)| k)
-            .chain(self.heap.iter())
-            .map(|k| k.at())
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len() + self.near.len()
@@ -637,39 +605,6 @@ mod tests {
         q.pop();
         // One live heap entry; the freed slot stays allocated.
         assert_eq!(q.slab_occupancy(), (1, 2));
-    }
-
-    #[test]
-    fn pending_time_span_covers_near_and_heap() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.pending_time_span(), None);
-        assert_eq!(q.pending_times().count(), 0);
-        // One near-buffer occupant.
-        q.push(Time::from_ns(50), 0u64);
-        assert_eq!(
-            q.pending_time_span(),
-            Some((Time::from_ns(50), Time::from_ns(50)))
-        );
-        // Far-future events land in the heap; the span must see both
-        // stores. The heap's max is a leaf, not the root.
-        for i in 0..6u64 {
-            q.push(Time::from_ns(1_000 + i * 100), i);
-        }
-        q.push(Time::from_ns(10), 9);
-        assert_eq!(
-            q.pending_time_span(),
-            Some((Time::from_ns(10), Time::from_ns(1_500)))
-        );
-        // The timestamp multiset matches what was pushed.
-        let mut times: Vec<u64> = q.pending_times().map(|t| t.as_ns()).collect();
-        times.sort_unstable();
-        assert_eq!(
-            times,
-            vec![10, 50, 1_000, 1_100, 1_200, 1_300, 1_400, 1_500]
-        );
-        // Popping the minimum tightens the lower edge.
-        q.pop();
-        assert_eq!(q.pending_time_span().unwrap().0, Time::from_ns(50));
     }
 
     #[test]

@@ -1,7 +1,16 @@
 //! Property tests for the simulation kernel's invariants.
 
 use proptest::prelude::*;
-use venice_sim::{EventQueue, Kernel, Time, TokenBucket};
+use venice_sim::{EventQueue, Kernel, Scheduler, SimEvent, Time, TokenBucket};
+
+/// Logs its own delay (in ns) when it fires.
+struct Logged(u64);
+
+impl SimEvent<Vec<u64>> for Logged {
+    fn fire(self, log: &mut Vec<u64>, _: &mut Scheduler<Vec<u64>, Logged>) {
+        log.push(self.0);
+    }
+}
 
 proptest! {
     /// The event queue pops in nondecreasing time order, and equal
@@ -29,10 +38,10 @@ proptest! {
     /// the clock ends at the latest event time.
     #[test]
     fn kernel_executes_everything(delays in prop::collection::vec(1u64..10_000, 1..100)) {
-        let mut k = Kernel::new(Vec::<u64>::new());
+        let mut k: Kernel<Vec<u64>, Logged> = Kernel::new(Vec::new());
         let max = *delays.iter().max().unwrap();
         for &d in &delays {
-            k.schedule(Time::from_ns(d), move |v: &mut Vec<u64>, _| v.push(d));
+            k.schedule_event(Time::from_ns(d), Logged(d));
         }
         let end = k.run();
         prop_assert_eq!(k.state().len(), delays.len());

@@ -166,10 +166,7 @@ impl TenantSummary {
     /// Per-mille share of the tail spent in the dominant stage.
     pub fn dominant_share_pm(&self) -> u64 {
         let total: u64 = self.tail_stage_ps.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        self.tail_stage_ps[self.dominant_tail_stage] * 1000 / total
+        crate::permille(self.tail_stage_ps[self.dominant_tail_stage], total)
     }
 }
 

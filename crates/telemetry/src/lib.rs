@@ -55,3 +55,18 @@ pub use profile::render_profile;
 pub use report::{diff_tenants, export_attrib_jsonl, render_explain, TenantDiff, ATTRIB_SCHEMA};
 pub use series::{LinkGauge, NodeGauges, SampleRow, SeriesRecorder, TenantCounters};
 pub use spans::{Span, SpanKind, SpanLog};
+
+/// Integer per-mille `part * 1000 / whole`, exact for any inputs (the
+/// product is taken in `u128`, so long runs' picosecond totals cannot
+/// overflow it); `0` when `whole` is zero.
+fn permille(part: u64, whole: u64) -> u64 {
+    let pm = (u128::from(part) * 1000)
+        .checked_div(u128::from(whole))
+        .unwrap_or(0);
+    u64::try_from(pm).unwrap_or(u64::MAX)
+}
+
+/// `x` per-mille as a `dd.d%` fixed-point percentage.
+fn pct(x: u64) -> String {
+    format!("{}.{}%", x / 10, x % 10)
+}

@@ -12,16 +12,7 @@ use std::fmt::Write as _;
 
 use crate::probe::RecordingProbe;
 use crate::spans::SpanKind;
-
-/// Integer per-mille helper: `part * 1000 / whole` with a zero guard.
-fn permille(part: u64, whole: u64) -> u64 {
-    (part * 1000).checked_div(whole).unwrap_or(0)
-}
-
-/// Writes `x` per-mille as a `dd.d%` fixed-point percentage.
-fn pct(x: u64) -> String {
-    format!("{}.{}%", x / 10, x % 10)
-}
+use crate::{pct, permille};
 
 /// Renders `probe` as a multi-section text report. `labels` names the
 /// engine's event-kind slots, as for [`crate::export_jsonl`].
@@ -262,5 +253,28 @@ mod tests {
             report,
             render_profile("unit", &p, &["arrival", "next", "finish"])
         );
+    }
+
+    #[test]
+    fn long_runs_render_exact_time_shares() {
+        // The finish event carries 6 h of simulated time, 2.16e16 ps:
+        // `ps * 1000` would overflow u64, so the per-mille math must be
+        // exact.
+        let mut p = RecordingProbe::new(Time::from_secs(3_600), 4);
+        p.on_event(0, Time::from_secs(3_600));
+        p.on_event(1, Time::from_secs(7 * 3_600));
+        let report = render_profile("long", &p, &["arrival", "finish"]);
+        let time_share = |label: &str| {
+            report
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(label))
+                .unwrap_or_else(|| panic!("{label} row"))
+                .split_whitespace()
+                .last()
+                .expect("time% column")
+                .to_string()
+        };
+        assert_eq!(time_share("arrival"), "14.2%");
+        assert_eq!(time_share("finish"), "85.7%");
     }
 }

@@ -21,19 +21,10 @@
 use std::fmt::Write as _;
 
 use crate::attrib::{AttribFold, TenantSummary, SHED_LABELS, STAGES, STAGE_LABELS};
+use crate::{pct, permille};
 
 /// Schema identifier of the attribution artifact.
 pub const ATTRIB_SCHEMA: &str = "venice-attrib-v1";
-
-/// Integer per-mille helper with a zero guard.
-fn permille(part: u64, whole: u64) -> u64 {
-    part.saturating_mul(1000).checked_div(whole).unwrap_or(0)
-}
-
-/// `x` per-mille as a `dd.d%` fixed-point percentage.
-fn pct(x: u64) -> String {
-    format!("{}.{}%", x / 10, x % 10)
-}
 
 /// Per-tenant differential attribution between two folds.
 #[derive(Debug, Clone, PartialEq, Eq)]
