@@ -114,6 +114,21 @@ fn bench_substrates(c: &mut Criterion) {
         };
         b.iter(|| black_box(engine::Run::new(&config).execute().report))
     });
+    {
+        // The typed event core and the frozen seed engine on the same
+        // storm configuration: the pair that measures what the typed
+        // rewrite bought, re-runnable on any machine.
+        use venice_loadgen::{engine, scenarios};
+        use venice_oracle::legacy;
+        let mut config = scenarios::storm_configs(scenarios::SCENARIO_SEED).swap_remove(0);
+        config.requests = 20_000;
+        g.bench_function("loadgen_storm_typed", |b| {
+            b.iter(|| black_box(engine::Run::new(&config).execute().report))
+        });
+        g.bench_function("loadgen_storm_legacy", |b| {
+            b.iter(|| black_box(legacy::run(&config)))
+        });
+    }
     g.bench_function("cluster_borrow_release", |b| {
         use venice::cluster::Cluster;
         use venice::NodeId;

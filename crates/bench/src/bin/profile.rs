@@ -30,7 +30,7 @@
 //! Sampling cadence is [`venice_bench::PROBE_TICK`] (sim time) with a
 //! ring retaining the last [`venice_bench::PROBE_RING_CAP`] rows per
 //! scenario, so artifact size is bounded no matter the request count.
-//! Like `BENCH_perf.json`, the committed artifact is regenerated
+//! Unlike `BENCH_figures.json`, the committed artifact is regenerated
 //! manually (`cargo run --release -p venice-bench --bin profile`), not
 //! freshness-diffed: its byte content is machine-independent, but
 //! regeneration is only meaningful when the engine's event flow

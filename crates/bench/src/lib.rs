@@ -9,204 +9,11 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
 use venice::Figure;
 use venice_loadgen::scenarios::{self, fault_free, Row, RowRun};
 use venice_loadgen::sweep;
 use venice_loadgen::{congestion, economy, elastic, elastic_v2, failover};
 use venice_sim::Time;
-
-/// Schema tag stamped into `BENCH_perf.json` so the validator can
-/// reject artifacts written by an incompatible harness version.
-pub const PERF_SCHEMA: &str = "venice-perf-v1";
-
-/// The v2 schema tag: identical to v1 plus a `scaling` section holding
-/// the sharded kernel's 1/2/4/8-shard curve on the storm family. The
-/// validator accepts both tags, but a v2 artifact must carry a
-/// complete curve (see [`SCALING_WIDTHS`]).
-pub const PERF_SCHEMA_V2: &str = "venice-perf-v2";
-
-/// Shard widths a v2 artifact's scaling curve must cover.
-pub const SCALING_WIDTHS: &[u32] = &[1, 2, 4, 8];
-
-/// Scenario families the wall-clock perf trajectory must cover. The
-/// `throughput` bin times each family on both event cores; a
-/// `BENCH_perf.json` missing a family fails validation, so the
-/// trajectory can never silently lose coverage.
-pub const PERF_FAMILIES: &[&str] = &["storm", "elastic-v2"];
-
-/// One timed scenario in `BENCH_perf.json`: the same configuration run
-/// through the typed event core and the boxed-closure baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfEntry {
-    /// Scenario family (one of [`PERF_FAMILIES`]).
-    pub family: String,
-    /// Scenario label within the family (tenant mix or controller row).
-    pub label: String,
-    /// Requests issued by the run.
-    pub requests: u64,
-    /// Kernel events executed (identical across the two cores — their
-    /// event streams are bit-identical, which the bin gates on).
-    pub events: u64,
-    /// Peak event-queue depth over the run.
-    pub peak_queue_depth: u64,
-    /// Best wall time of the typed event core, milliseconds.
-    pub typed_wall_ms: f64,
-    /// Typed-core events per wall-clock second.
-    pub typed_events_per_sec: f64,
-    /// Typed-core requests per wall-clock second.
-    pub typed_requests_per_sec: f64,
-    /// Best wall time of the boxed-closure baseline, milliseconds.
-    pub boxed_wall_ms: f64,
-    /// Baseline events per wall-clock second.
-    pub boxed_events_per_sec: f64,
-    /// Baseline requests per wall-clock second.
-    pub boxed_requests_per_sec: f64,
-    /// `boxed_wall_ms / typed_wall_ms` — how much faster the typed core
-    /// ran this scenario.
-    pub speedup: f64,
-}
-
-/// One point of the sharded kernel's scaling curve: the same storm
-/// configuration run through `Run::shards(n)` at one width. Every
-/// width's report is byte-diffed against the single-shard report
-/// before timing counts, so the curve can only measure runs that are
-/// bit-identical in output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalingEntry {
-    /// Scenario family the curve was measured on (`storm`).
-    pub family: String,
-    /// Scenario label within the family (tenant mix).
-    pub label: String,
-    /// Shard width of this point (1 = the sequential engine).
-    pub shards: u32,
-    /// Best wall time at this width, milliseconds.
-    pub wall_ms: f64,
-    /// Logical events per wall-clock second at this width.
-    pub events_per_sec: f64,
-    /// `wall_ms(1 shard) / wall_ms(this width)` — wall-clock speedup
-    /// over the sequential engine (1.0 by definition at width 1).
-    pub speedup_vs_single: f64,
-}
-
-/// The whole `BENCH_perf.json` artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfReport {
-    /// [`PERF_SCHEMA`] or [`PERF_SCHEMA_V2`].
-    pub schema: String,
-    /// Timing iterations per scenario (best-of-N wall time is kept).
-    pub iters: u32,
-    /// Per-run request override used for reduced smoke runs; `null` in
-    /// the committed full-scale artifact.
-    pub requests_override: Option<u64>,
-    /// One row per timed scenario.
-    pub entries: Vec<PerfEntry>,
-    /// Sharded-kernel scaling curve (v2; must be empty under v1).
-    pub scaling: Vec<ScalingEntry>,
-    /// Worker threads available to the recorder (`RAYON_NUM_THREADS`
-    /// if set, else the machine's available parallelism; v2). The
-    /// scaling curve is only expected to show wall-clock speedup when
-    /// this is ≥ 2 — a single-core recorder runs the shards
-    /// back-to-back and can only measure the sharding overhead.
-    pub threads: u32,
-}
-
-/// Validates a perf artifact: schema tag, every family of
-/// [`PERF_FAMILIES`] present, and every row internally sane (positive
-/// finite times and rates, speedup consistent with the recorded walls).
-/// Returns human-readable problems (empty = valid). Deliberately does
-/// **not** enforce a speedup floor: smoke runs on loaded CI machines
-/// time whatever they time — the floor is asserted on the committed
-/// full-scale artifact by the test suite instead.
-pub fn validate_perf(report: &PerfReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    if report.schema != PERF_SCHEMA && report.schema != PERF_SCHEMA_V2 {
-        problems.push(format!(
-            "schema `{}` is neither `{PERF_SCHEMA}` nor `{PERF_SCHEMA_V2}`",
-            report.schema
-        ));
-    }
-    if report.schema == PERF_SCHEMA && !report.scaling.is_empty() {
-        problems.push("v1 artifact carries a scaling section (stamp v2)".to_string());
-    }
-    if report.schema == PERF_SCHEMA_V2 {
-        for &width in SCALING_WIDTHS {
-            if !report
-                .scaling
-                .iter()
-                .any(|s| s.family == "storm" && s.shards == width)
-            {
-                problems.push(format!("scaling curve missing storm width {width}"));
-            }
-        }
-        for s in &report.scaling {
-            let tag = format!("scaling {}/{} @{}", s.family, s.label, s.shards);
-            if s.shards == 0 {
-                problems.push(format!("{tag}: zero shard width"));
-            }
-            for (name, x) in [
-                ("wall_ms", s.wall_ms),
-                ("events_per_sec", s.events_per_sec),
-                ("speedup_vs_single", s.speedup_vs_single),
-            ] {
-                if !(x.is_finite() && x > 0.0) {
-                    problems.push(format!("{tag}: {name} = {x} is not positive finite"));
-                }
-            }
-            // No speedup floor here for the same reason as the typed/
-            // boxed speedup: smoke runs on loaded machines time
-            // whatever they time. The committed artifact's floor is
-            // asserted by the test suite.
-            if s.shards == 1 && (s.speedup_vs_single - 1.0).abs() > 1e-9 {
-                problems.push(format!(
-                    "{tag}: width 1 must define speedup 1.0, got {}",
-                    s.speedup_vs_single
-                ));
-            }
-        }
-    }
-    if report.iters == 0 {
-        problems.push("iters is zero".to_string());
-    }
-    if report.threads == 0 {
-        problems.push("threads is zero (record the worker count)".to_string());
-    }
-    for &family in PERF_FAMILIES {
-        if !report.entries.iter().any(|e| e.family == family) {
-            problems.push(format!("missing scenario family `{family}`"));
-        }
-    }
-    for e in &report.entries {
-        let tag = format!("{}/{}", e.family, e.label);
-        if !PERF_FAMILIES.contains(&e.family.as_str()) {
-            problems.push(format!("{tag}: unregistered family"));
-        }
-        if e.requests == 0 || e.events == 0 {
-            problems.push(format!("{tag}: empty run"));
-        }
-        for (name, x) in [
-            ("typed_wall_ms", e.typed_wall_ms),
-            ("typed_events_per_sec", e.typed_events_per_sec),
-            ("typed_requests_per_sec", e.typed_requests_per_sec),
-            ("boxed_wall_ms", e.boxed_wall_ms),
-            ("boxed_events_per_sec", e.boxed_events_per_sec),
-            ("boxed_requests_per_sec", e.boxed_requests_per_sec),
-            ("speedup", e.speedup),
-        ] {
-            if !(x.is_finite() && x > 0.0) {
-                problems.push(format!("{tag}: {name} = {x} is not positive finite"));
-            }
-        }
-        let implied = e.boxed_wall_ms / e.typed_wall_ms;
-        if e.speedup > 0.0 && (implied - e.speedup).abs() > 0.01 * e.speedup.max(1.0) {
-            problems.push(format!(
-                "{tag}: speedup {:.3} inconsistent with walls ({implied:.3})",
-                e.speedup
-            ));
-        }
-    }
-    problems
-}
 
 /// Renders figures as text, one after another.
 pub fn render_all(figures: &[Figure]) -> String {
@@ -799,228 +606,6 @@ mod tests {
             .any(|p| p.contains("not registered")));
     }
 
-    fn perf_entry(family: &str, label: &str) -> PerfEntry {
-        PerfEntry {
-            family: family.to_string(),
-            label: label.to_string(),
-            requests: 1_000,
-            events: 2_500,
-            peak_queue_depth: 40,
-            typed_wall_ms: 10.0,
-            typed_events_per_sec: 250_000.0,
-            typed_requests_per_sec: 100_000.0,
-            boxed_wall_ms: 16.0,
-            boxed_events_per_sec: 156_250.0,
-            boxed_requests_per_sec: 62_500.0,
-            speedup: 1.6,
-        }
-    }
-
-    fn scaling_entry(shards: u32) -> ScalingEntry {
-        ScalingEntry {
-            family: "storm".to_string(),
-            label: "web-frontend".to_string(),
-            shards,
-            wall_ms: 100.0 / shards as f64,
-            events_per_sec: 250_000.0 * shards as f64,
-            speedup_vs_single: shards as f64,
-        }
-    }
-
-    #[test]
-    fn perf_validation_accepts_a_sane_artifact_and_round_trips() {
-        let report = PerfReport {
-            schema: PERF_SCHEMA.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: Vec::new(),
-            threads: 8,
-        };
-        assert!(validate_perf(&report).is_empty());
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
-        assert!(validate_perf(&back).is_empty());
-    }
-
-    #[test]
-    fn perf_validation_accepts_a_v2_artifact_with_a_full_curve() {
-        let report = PerfReport {
-            schema: PERF_SCHEMA_V2.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: SCALING_WIDTHS.iter().map(|&w| scaling_entry(w)).collect(),
-            threads: 8,
-        };
-        assert_eq!(validate_perf(&report), Vec::<String>::new());
-        // A v2 artifact round-trips through JSON with its curve intact.
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
-    }
-
-    #[test]
-    fn perf_validation_catches_scaling_curve_problems() {
-        let good = PerfReport {
-            schema: PERF_SCHEMA_V2.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: SCALING_WIDTHS.iter().map(|&w| scaling_entry(w)).collect(),
-            threads: 8,
-        };
-        assert!(validate_perf(&good).is_empty());
-        // Dropping a width from the curve fails.
-        let mut short = good.clone();
-        short.scaling.retain(|s| s.shards != 4);
-        assert!(validate_perf(&short)
-            .iter()
-            .any(|p| p.contains("missing storm width 4")));
-        // A v1 artifact must not carry a curve.
-        let mut v1 = good.clone();
-        v1.schema = PERF_SCHEMA.to_string();
-        assert!(validate_perf(&v1).iter().any(|p| p.contains("stamp v2")));
-        // Non-positive wall time fails.
-        let mut wall = good.clone();
-        wall.scaling[1].wall_ms = 0.0;
-        assert!(validate_perf(&wall)
-            .iter()
-            .any(|p| p.contains("wall_ms") && p.contains("@2")));
-        // Width 1 must define speedup exactly 1.0.
-        let mut base = good;
-        base.scaling[0].speedup_vs_single = 1.2;
-        assert!(validate_perf(&base)
-            .iter()
-            .any(|p| p.contains("width 1 must define speedup 1.0")));
-    }
-
-    #[test]
-    fn perf_validation_catches_coverage_and_sanity_problems() {
-        let good = PerfReport {
-            schema: PERF_SCHEMA.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: Vec::new(),
-            threads: 8,
-        };
-        // Dropping a family fails.
-        let mut dropped = good.clone();
-        dropped.entries.retain(|e| e.family != "elastic-v2");
-        assert!(validate_perf(&dropped)
-            .iter()
-            .any(|p| p.contains("missing scenario family `elastic-v2`")));
-        // A wrong schema tag fails.
-        let mut schema = good.clone();
-        schema.schema = "venice-perf-v0".to_string();
-        assert!(!validate_perf(&schema).is_empty());
-        // A non-positive wall time fails.
-        let mut wall = good.clone();
-        wall.entries[0].typed_wall_ms = 0.0;
-        assert!(validate_perf(&wall)
-            .iter()
-            .any(|p| p.contains("typed_wall_ms")));
-        // A speedup inconsistent with the recorded walls fails.
-        let mut skewed = good.clone();
-        skewed.entries[0].speedup = 9.0;
-        assert!(validate_perf(&skewed)
-            .iter()
-            .any(|p| p.contains("inconsistent")));
-        // An unregistered family fails.
-        let mut rogue = good;
-        rogue.entries.push(perf_entry("warmup", "x"));
-        assert!(validate_perf(&rogue)
-            .iter()
-            .any(|p| p.contains("unregistered family")));
-    }
-
-    #[test]
-    fn committed_perf_artifact_is_valid_and_clears_the_storm_bar() {
-        // BENCH_perf.json is the recorded wall-clock trajectory; unlike
-        // BENCH_figures.json it cannot be freshness-diffed (wall times
-        // are machine-dependent), so this test pins the *committed*
-        // numbers instead: the artifact must parse, validate, and show
-        // the typed event core >= 1.5x the boxed-closure baseline on
-        // every storm entry. A refresh that regresses below the bar
-        // fails here and needs investigating, not committing.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_perf.json is committed");
-        let report: PerfReport = serde_json::from_str(&text).expect("artifact parses");
-        assert_eq!(validate_perf(&report), Vec::<String>::new());
-        assert_eq!(
-            report.requests_override, None,
-            "committed artifact must be full-scale"
-        );
-        let storm: Vec<&PerfEntry> = report
-            .entries
-            .iter()
-            .filter(|e| e.family == "storm")
-            .collect();
-        assert!(storm.len() >= 3, "all three storm mixes recorded");
-        let total: u64 = storm.iter().map(|e| e.requests).sum();
-        assert!(total >= 1_000_000, "storm below production scale: {total}");
-        for e in &storm {
-            assert!(
-                e.speedup >= 1.5,
-                "storm/{} speedup {:.2} below the 1.5x bar",
-                e.label,
-                e.speedup
-            );
-            assert!(e.typed_events_per_sec >= 1.5 * e.boxed_events_per_sec);
-        }
-        // The committed artifact is v2: it must carry the sharded
-        // kernel's full scaling curve. When the recording machine had
-        // ≥ 2 worker threads, every parallel width must actually beat
-        // the sequential engine; a single-core recorder runs the shard
-        // workers back-to-back, so there the curve can only pin the
-        // overhead bound — the two-phase split must stay within 25% of
-        // sequential (byte-identity is gated unconditionally, in the
-        // bin and in the conformance suites).
-        assert_eq!(report.schema, PERF_SCHEMA_V2, "committed artifact is v2");
-        for &width in SCALING_WIDTHS {
-            let point = report
-                .scaling
-                .iter()
-                .find(|s| s.family == "storm" && s.shards == width)
-                .unwrap_or_else(|| panic!("scaling curve has storm width {width}"));
-            if width < 2 {
-                continue;
-            }
-            if report.threads >= 2 {
-                assert!(
-                    point.speedup_vs_single > 1.0,
-                    "storm @{} shards: speedup {:.2} does not beat sequential \
-                     on a {}-thread recorder",
-                    width,
-                    point.speedup_vs_single,
-                    report.threads
-                );
-            } else {
-                assert!(
-                    point.speedup_vs_single > 0.75,
-                    "storm @{} shards: {:.2}x on a single-core recorder — the \
-                     sharding overhead exceeded the 25% bound",
-                    width,
-                    point.speedup_vs_single
-                );
-            }
-        }
-    }
-
     #[test]
     fn architecture_doc_covers_every_crate() {
         // The in-tree mirror of the CI docs guard: ARCHITECTURE.md's
@@ -1053,18 +638,14 @@ mod tests {
     }
 
     #[test]
-    fn only_the_bench_crate_depends_on_the_oracles() {
+    fn the_oracles_are_dev_dependencies_only() {
         // The in-tree mirror of the CI oracle-boundary guard: the frozen
-        // oracles are for gates, so no crate but venice-bench may list
-        // venice-oracle under [dependencies] (a dev-dependency is fine).
+        // oracles are for tests, so no crate may list venice-oracle
+        // under [dependencies] (a dev-dependency is fine).
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let mut offenders = Vec::new();
         for entry in std::fs::read_dir(format!("{root}/crates")).expect("crates/ exists") {
             let dir = entry.expect("readable dir entry").path();
-            let name = dir.file_name().expect("crate dir name").to_owned();
-            if name == "bench" {
-                continue;
-            }
             let Ok(toml) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
                 continue;
             };
@@ -1076,13 +657,15 @@ mod tests {
                 if line.starts_with("[dependencies.venice-oracle]")
                     || (in_deps && line.starts_with("venice-oracle"))
                 {
+                    let name = dir.file_name().expect("crate dir name");
                     offenders.push(name.to_string_lossy().into_owned());
                 }
             }
         }
         assert!(
             offenders.is_empty(),
-            "crates/{{{}}} list venice-oracle under [dependencies]; only venice-bench may",
+            "crates/{{{}}} list venice-oracle under [dependencies]; \
+             only [dev-dependencies] may",
             offenders.join(", ")
         );
     }

@@ -23,9 +23,12 @@
 //! request**, and per-request transport latency is precomputed per
 //! (node, tenant class) instead of re-derived on every dispatch. The
 //! pre-rewrite closure engine is preserved bit-for-bit compatible in
-//! the unpublished `venice-oracle` crate (`venice_oracle::legacy`);
-//! `cargo run --release -p venice-bench --bin throughput` times the two
-//! side by side into `BENCH_perf.json`.
+//! the unpublished, test-only `venice-oracle` crate
+//! (`venice_oracle::legacy`). The repository benchmark
+//! (`cargo run --release --offline --manifest-path benchmark/Cargo.toml
+//! -- --workload storm`) measures this engine's host cost; the
+//! `loadgen_storm_typed`/`loadgen_storm_legacy` Criterion pair in
+//! `venice-bench` times the two side by side.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -35,8 +38,9 @@ use venice::{MemoryLease, NodeId};
 use venice_lease::{LeaseAction, LeaseConfig, LeaseManager, NodeSignal, Priority, NO_TENANT};
 use venice_sim::{Kernel, LogHistogram, QueueStats, Scheduler, SimEvent, SimRng, Time};
 use venice_telemetry::attrib::{
-    StageBreakdown, STAGE_DETOUR, STAGE_ESTABLISH_STALL, STAGE_QUEUE_WAIT, STAGE_SERVICE_LOCAL,
-    STAGE_SERVICE_REMOTE, STAGE_SLOT_WAIT, STAGE_TRANSPORT,
+    StageBreakdown, SHED_BACKPRESSURE, SHED_CRASH, SHED_OVERLOAD, SHED_RATE, STAGE_DETOUR,
+    STAGE_ESTABLISH_STALL, STAGE_QUEUE_WAIT, STAGE_SERVICE_LOCAL, STAGE_SERVICE_REMOTE,
+    STAGE_SLOT_WAIT, STAGE_TRANSPORT,
 };
 use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, SpanKind, TenantCounters};
 use venice_transport::qpair::QpairError;
@@ -140,7 +144,7 @@ impl LoadgenConfig {
 /// Kept out of [`LoadReport`] deliberately: the report's JSON shape is
 /// frozen by the determinism gate (its serialization is byte-diffed
 /// across thread counts and against the legacy engine), while these
-/// loop-level counters exist for the `throughput` bench.
+/// loop-level counters exist for the benchmark and the probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Logical events processed over the whole run: kernel-dispatched
@@ -1253,24 +1257,20 @@ fn admit<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 ) -> bool {
     let seq = w.issued;
     w.issued += 1;
+    // What a shed request traces: no service drawn, no lease generation.
+    let unserved = Request {
+        seq,
+        class: class as u32,
+        user,
+        node: node as u16,
+        arrival: now,
+        service: Time::ZERO,
+        generation: 0,
+    };
     // Total outage: every node is down, so the front door itself is
     // gone — the request is a crash loss, not an admission decision.
     if F::ENABLED && !w.faults.node_up(node as u16) {
-        w.stats[class].shed_crash += 1;
-        if P::ATTRIB {
-            w.probe.on_shed(class as u16, node as u16, 3, now);
-        }
-        record(
-            w,
-            seq,
-            now,
-            class,
-            user,
-            node,
-            RequestOutcome::ShedCrash,
-            Time::ZERO,
-            0,
-        );
+        shed(w, now, &unserved, RequestOutcome::ShedCrash);
         schedule_next_session(w, s);
         return false;
     }
@@ -1287,41 +1287,15 @@ fn admit<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         .unwrap_or(false);
     match w.admissions[node].on_arrival(now, priority, over_quota) {
         Decision::Shed(reason) => {
-            let st = &mut w.stats[class];
             let outcome = match reason {
-                ShedReason::RateLimit => {
-                    st.shed_rate += 1;
-                    RequestOutcome::ShedRate
-                }
-                ShedReason::Overload => {
-                    st.shed_overload += 1;
-                    RequestOutcome::ShedOverload
-                }
-                ShedReason::Backpressure => {
-                    st.shed_backpressure += 1;
-                    RequestOutcome::ShedBackpressure
-                }
+                ShedReason::RateLimit => RequestOutcome::ShedRate,
+                ShedReason::Overload => RequestOutcome::ShedOverload,
             };
-            if P::ATTRIB {
-                // Slot order mirrors attrib::SHED_LABELS.
-                let slot = match reason {
-                    ShedReason::RateLimit => 0,
-                    ShedReason::Overload => 1,
-                    ShedReason::Backpressure => 2,
-                };
-                w.probe.on_shed(class as u16, node as u16, slot, now);
-            }
-            record(
-                w,
-                seq,
-                now,
-                class,
-                user,
-                node,
-                outcome,
-                Time::ZERO,
+            let req = Request {
                 generation,
-            );
+                ..unserved
+            };
+            shed(w, now, &req, outcome);
             // A shed closed-loop client backs off one think time and
             // retries with a fresh request.
             schedule_next_session(w, s);
@@ -1356,6 +1330,53 @@ fn admit<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             true
         }
     }
+}
+
+/// Accounts one shed request: bumps its class's counter for `outcome`,
+/// reports the shed to the probe at `now` and traces it with zero
+/// latency. Freeing an admitted request's admission slot and scheduling
+/// a closed-loop client's retry stay with the caller, which owns where
+/// those land in the event order.
+fn shed<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'_, P, M, F>,
+    now: Time,
+    req: &Request,
+    outcome: RequestOutcome,
+) {
+    let st = &mut w.stats[req.class as usize];
+    let slot = match outcome {
+        RequestOutcome::ShedRate => {
+            st.shed_rate += 1;
+            SHED_RATE
+        }
+        RequestOutcome::ShedOverload => {
+            st.shed_overload += 1;
+            SHED_OVERLOAD
+        }
+        RequestOutcome::ShedBackpressure => {
+            st.shed_backpressure += 1;
+            SHED_BACKPRESSURE
+        }
+        RequestOutcome::ShedCrash => {
+            st.shed_crash += 1;
+            SHED_CRASH
+        }
+        RequestOutcome::Completed => unreachable!("a completion is not a shed"),
+    };
+    if P::ATTRIB {
+        w.probe.on_shed(req.class as u16, req.node, slot, now);
+    }
+    record(
+        w,
+        req.seq,
+        req.arrival,
+        req.class as usize,
+        req.user,
+        req.node as usize,
+        outcome,
+        Time::ZERO,
+        req.generation,
+    );
 }
 
 /// Appends a trace record if tracing is on.
@@ -1448,22 +1469,8 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 // The node is saturated beyond its backlog: drop the
                 // request and free its in-flight slot.
                 let req = w.requests.take(slot);
-                w.stats[req.class as usize].shed_backpressure += 1;
                 w.admissions[node].on_completion();
-                if P::ATTRIB {
-                    w.probe.on_shed(req.class as u16, node as u16, 2, now);
-                }
-                record(
-                    w,
-                    req.seq,
-                    req.arrival,
-                    req.class as usize,
-                    req.user,
-                    node,
-                    RequestOutcome::ShedBackpressure,
-                    Time::ZERO,
-                    req.generation,
-                );
+                shed(w, now, &req, RequestOutcome::ShedBackpressure);
                 schedule_next_session(w, s);
             }
         }
@@ -1478,21 +1485,83 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     s: &mut Sched<'a, P, M, F>,
     slot: u32,
 ) {
-    // A request doomed by its node's crash still fires its Finish on
-    // schedule (events cannot be unscheduled), but it accounts as a
-    // crash shed: transport credits return, admission and in-flight
-    // ledgers close, and nothing lands in the latency histogram — the
-    // work died with the node.
+    let req = w.requests.take(slot);
+    let now = s.now();
+    let (class, node) = (req.class as usize, req.node as usize);
     if F::ENABLED && w.doomed.get(slot as usize).copied().unwrap_or(false) {
+        // A request doomed by its node's crash still fires its Finish on
+        // schedule (events cannot be unscheduled), but it accounts as a
+        // crash shed: the tail below still closes its admission and
+        // in-flight ledgers and returns its transport credit, but nothing
+        // lands in the latency histogram — the work died with the node.
         w.doomed[slot as usize] = false;
-        let req = w.requests.take(slot);
-        let class = req.class as usize;
-        let node = req.node as usize;
-        w.stats[class].shed_crash += 1;
-        w.admissions[node].on_completion();
-        w.servers[node].inflight_by_class[class] -= 1;
+        shed(w, now, &req, RequestOutcome::ShedCrash);
+    } else {
+        // A shard worker cannot order a same-node arrival and finish at
+        // one instant the way the sequential engine does: the slice
+        // aborts.
+        if let Some(shard) = &mut w.shard {
+            if !shard.finish(req.node, now) {
+                return;
+            }
+        }
+        let latency = now - req.arrival;
+        w.stats[class].on_complete(
+            latency,
+            w.req_bytes_by_class[class] + w.resp_bytes_by_class[class],
+        );
+        w.completed += 1;
+        if now > w.end {
+            w.end = now;
+        }
         if P::ATTRIB {
-            w.probe.on_shed(class as u16, node as u16, 3, s.now());
+            // Telescoping decomposition — every stage is a difference of
+            // stamps the engine computed anyway, so the seven stages sum to
+            // the end-to-end latency *exactly*, per request, by
+            // construction: latency = queue + transport + slot_wait +
+            // service, with queue = dispatch_at - arrival, transport the
+            // class's fixed QPair latency, service the sampled cost (split
+            // local/remote by the compiled per-mille share), and slot_wait
+            // the remainder (start - deliver, provably >= 0 because finish
+            // fires at start + service and start >= dispatch_at +
+            // transport).
+            let a = w.attrib[slot as usize];
+            let total_ps = latency.as_ps();
+            let queue_ps = a.dispatch_at.saturating_sub(req.arrival).as_ps();
+            let transport_ps = w.servers[node].msg_lat_by_class[class].as_ps();
+            let service_ps = req.service.as_ps();
+            // Fabric congestion penalty stamped at dispatch (zero unless
+            // the congested model is armed); it extends the completion
+            // time, so it must come out of the slot-wait remainder and is
+            // booked as detour time — fabric hops beyond the home path.
+            let fab_ps = if M::ENABLED {
+                w.fabric_detour.get(slot as usize).copied().unwrap_or(0)
+            } else {
+                0
+            };
+            let slot_wait_ps = total_ps - queue_ps - transport_ps - service_ps - fab_ps;
+            let remote_ps = a.remote_ps.min(service_ps);
+            let mut stage_ps = [0u64; venice_telemetry::STAGES];
+            stage_ps[if a.stalled {
+                STAGE_ESTABLISH_STALL
+            } else {
+                STAGE_QUEUE_WAIT
+            }] = queue_ps;
+            let home = (req.user % w.servers.len() as u64) as usize;
+            stage_ps[if node == home {
+                STAGE_TRANSPORT
+            } else {
+                STAGE_DETOUR
+            }] = transport_ps;
+            stage_ps[STAGE_DETOUR] += fab_ps;
+            stage_ps[STAGE_SLOT_WAIT] = slot_wait_ps;
+            stage_ps[STAGE_SERVICE_LOCAL] = service_ps - remote_ps;
+            stage_ps[STAGE_SERVICE_REMOTE] = remote_ps;
+            w.probe.on_request(
+                class as u16,
+                node as u16,
+                StageBreakdown { stage_ps, total_ps },
+            );
         }
         record(
             w,
@@ -1501,101 +1570,13 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             class,
             req.user,
             node,
-            RequestOutcome::ShedCrash,
-            Time::ZERO,
+            RequestOutcome::Completed,
+            latency,
             req.generation,
         );
-        let srv = &mut w.servers[node];
-        srv.qp.drain_one();
-        srv.qp.credit_update(1);
-        if let Some(next) = srv.backlog.pop_front() {
-            dispatch(w, s, next);
-        }
-        schedule_next_session(w, s);
-        return;
     }
-    let req = w.requests.take(slot);
-    let now = s.now();
-    // A shard worker cannot order a same-node arrival and finish at one
-    // instant the way the sequential engine does: the slice aborts.
-    if let Some(shard) = &mut w.shard {
-        if !shard.finish(req.node, now) {
-            return;
-        }
-    }
-    let latency = now - req.arrival;
-    let class = req.class as usize;
-    w.stats[class].on_complete(
-        latency,
-        w.req_bytes_by_class[class] + w.resp_bytes_by_class[class],
-    );
-    w.completed += 1;
-    if now > w.end {
-        w.end = now;
-    }
-    let node = req.node as usize;
     w.admissions[node].on_completion();
     w.servers[node].inflight_by_class[class] -= 1;
-    if P::ATTRIB {
-        // Telescoping decomposition — every stage is a difference of
-        // stamps the engine computed anyway, so the seven stages sum to
-        // the end-to-end latency *exactly*, per request, by
-        // construction: latency = queue + transport + slot_wait +
-        // service, with queue = dispatch_at - arrival, transport the
-        // class's fixed QPair latency, service the sampled cost (split
-        // local/remote by the compiled per-mille share), and slot_wait
-        // the remainder (start - deliver, provably >= 0 because finish
-        // fires at start + service and start >= dispatch_at +
-        // transport).
-        let a = w.attrib[slot as usize];
-        let total_ps = latency.as_ps();
-        let queue_ps = a.dispatch_at.saturating_sub(req.arrival).as_ps();
-        let transport_ps = w.servers[node].msg_lat_by_class[class].as_ps();
-        let service_ps = req.service.as_ps();
-        // Fabric congestion penalty stamped at dispatch (zero unless
-        // the congested model is armed); it extends the completion
-        // time, so it must come out of the slot-wait remainder and is
-        // booked as detour time — fabric hops beyond the home path.
-        let fab_ps = if M::ENABLED {
-            w.fabric_detour.get(slot as usize).copied().unwrap_or(0)
-        } else {
-            0
-        };
-        let slot_wait_ps = total_ps - queue_ps - transport_ps - service_ps - fab_ps;
-        let remote_ps = a.remote_ps.min(service_ps);
-        let mut stage_ps = [0u64; venice_telemetry::STAGES];
-        stage_ps[if a.stalled {
-            STAGE_ESTABLISH_STALL
-        } else {
-            STAGE_QUEUE_WAIT
-        }] = queue_ps;
-        let home = (req.user % w.servers.len() as u64) as usize;
-        stage_ps[if node == home {
-            STAGE_TRANSPORT
-        } else {
-            STAGE_DETOUR
-        }] = transport_ps;
-        stage_ps[STAGE_DETOUR] += fab_ps;
-        stage_ps[STAGE_SLOT_WAIT] = slot_wait_ps;
-        stage_ps[STAGE_SERVICE_LOCAL] = service_ps - remote_ps;
-        stage_ps[STAGE_SERVICE_REMOTE] = remote_ps;
-        w.probe.on_request(
-            class as u16,
-            node as u16,
-            StageBreakdown { stage_ps, total_ps },
-        );
-    }
-    record(
-        w,
-        req.seq,
-        req.arrival,
-        class,
-        req.user,
-        node,
-        RequestOutcome::Completed,
-        latency,
-        req.generation,
-    );
     let srv = &mut w.servers[node];
     srv.qp.drain_one();
     srv.qp.credit_update(1);
@@ -1783,23 +1764,8 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     // gate: they die with the node, holding no transport credit.
     while let Some(slot) = w.servers[node].backlog.pop_front() {
         let req = w.requests.take(slot);
-        let class = req.class as usize;
-        w.stats[class].shed_crash += 1;
         w.admissions[node].on_completion();
-        if P::ATTRIB {
-            w.probe.on_shed(class as u16, node as u16, 3, now);
-        }
-        record(
-            w,
-            req.seq,
-            req.arrival,
-            class,
-            req.user,
-            node,
-            RequestOutcome::ShedCrash,
-            Time::ZERO,
-            req.generation,
-        );
+        shed(w, now, &req, RequestOutcome::ShedCrash);
         schedule_next_session(w, s);
     }
     // In-service requests cannot be unscheduled — their Finish events

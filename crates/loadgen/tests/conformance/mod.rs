@@ -20,8 +20,8 @@
 //! scenario-specific assertions on the returned reference output.
 //!
 //! Comparison is on *bytes*, not `PartialEq`: the serialized artifact
-//! is what CI diffs and what `BENCH_perf.json`'s in-bin gate compares,
-//! so this harness pins the exact same contract.
+//! is what CI diffs and what the benchmark's digest check compares, so
+//! this harness pins the exact same contract.
 
 // Each test binary compiles its own copy of this module and uses a
 // different subset of the driver (legacy leg, fault leg, fingerprint).
@@ -31,7 +31,7 @@ use venice_loadgen::{engine, FaultPlan, LoadReport, LoadgenConfig, Trace};
 use venice_oracle::legacy;
 
 /// Shard widths every conformance run exercises (width 1 is the
-/// reference itself; the bench curve covers `[1, 2, 4, 8]`).
+/// reference itself).
 pub const SHARD_WIDTHS: &[usize] = &[2, 4, 8];
 
 /// The byte-level fingerprint of a run's observable output: the

@@ -128,8 +128,8 @@ proptest! {
     }
 
     /// The merged kernel metrics are width-invariant where they must
-    /// be: the logical event count (executed + fused, the number the
-    /// throughput curve divides by) is identical at every width, and
+    /// be: the logical event count (executed + fused, the number
+    /// events/s divides by) is identical at every width, and
     /// the merged peak queue depth never exceeds the sequential one
     /// (per-shard queues are strictly smaller).
     #[test]

@@ -17,7 +17,7 @@ mod conformance;
 use conformance::Conformance;
 use proptest::prelude::*;
 use venice_lease::LeaseConfig;
-use venice_loadgen::{engine, ArrivalProcess, LoadgenConfig, TenantMix};
+use venice_loadgen::{elastic_v2, engine, scenarios, ArrivalProcess, LoadgenConfig, TenantMix};
 use venice_oracle::legacy;
 use venice_sim::Time;
 
@@ -150,8 +150,8 @@ fn typed_vs_legacy_holds_at_both_rayon_thread_counts() {
 #[test]
 fn typed_engine_matches_the_legacy_oracle_bit_for_bit() {
     // The headline differential check at unit-test granularity (the
-    // property tests above sweep arbitrary configs; CI byte-diffs the
-    // bench bin): same seed, same config → identical report AND
+    // property tests above sweep arbitrary configs; the test below runs
+    // the published rows): same seed, same config → identical report AND
     // identical trace through both event cores.
     let config = LoadgenConfig {
         requests: 3_000,
@@ -170,4 +170,38 @@ fn typed_engine_matches_the_legacy_oracle_bit_for_bit() {
             .report,
         legacy::replay(&config, &legacy_trace)
     );
+}
+
+#[test]
+fn published_storm_and_elastic_v2_rows_agree_across_every_engine() {
+    // The published rows themselves, at a reduced request count: the
+    // three storm mixes plus the elastic-v2 rows that cover every v2
+    // control path (predictive grows, donor revokes, quotas). Each row
+    // must produce byte-identical reports and traces through the typed
+    // engine, the sharded widths and the frozen seed engine.
+    const REQUESTS: u64 = 20_000;
+    let storm = scenarios::storm_configs(scenarios::SCENARIO_SEED)
+        .into_iter()
+        .map(|config| (config.mix.name.clone(), config));
+    let v2 = elastic_v2::comparison_configs(elastic_v2::V2_SEED)
+        .into_iter()
+        .filter(|(label, _)| label == "venice-predictive" || label == "donor-reclaim");
+    let mut labels = Vec::new();
+    for (label, mut config) in storm.chain(v2) {
+        config.requests = REQUESTS;
+        let (report, _) = Conformance::new(&config).legacy().assert_engines_agree();
+        assert_eq!(report.issued, REQUESTS, "{label}");
+        // The reduced count must still reach the lease paths the rows
+        // exist to cover.
+        match label.as_str() {
+            "venice-predictive" => assert!(report.lease.grows > 0, "{label}: no grows"),
+            "donor-reclaim" => assert!(
+                report.lease.grows > 0 && report.lease.revokes > 0,
+                "{label}: no grows or no revokes"
+            ),
+            _ => {}
+        }
+        labels.push(label);
+    }
+    assert_eq!(labels.len(), 5, "rows covered: {labels:?}");
 }

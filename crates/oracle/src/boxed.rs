@@ -7,10 +7,11 @@
 //! typed event core in [`venice_sim::kernel`]/[`venice_sim::queue`] replaced it on
 //! every hot path, but it stays in-tree for two jobs:
 //!
-//! * **Perf baseline.** The `throughput` bench bin drives the legacy
-//!   loadgen engine on this kernel and records its wall time next to the
-//!   typed core's in `BENCH_perf.json`, so the speedup claim is measured
-//!   against the real predecessor, not a strawman.
+//! * **Perf baseline.** The `loadgen_storm_legacy` Criterion bench in
+//!   `venice-bench` drives the legacy loadgen engine on this kernel next
+//!   to `loadgen_storm_typed` on the same storm configuration, so the
+//!   typed core's speedup is measured against the real predecessor, not
+//!   a strawman.
 //! * **Differential oracle.** The typed engine must produce bit-identical
 //!   traces and reports to the engine running on this module (property
 //!   tested and gated in CI); any behavioral drift in the rewrite shows

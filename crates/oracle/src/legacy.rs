@@ -7,13 +7,13 @@
 //! `BinaryHeap` queue, the per-tick `Vec` clones are kept, and `replay`
 //! still clones its input trace. It exists for exactly two callers:
 //!
-//! * the `throughput` bench bin, which times [`run`] next to the typed
-//!   engine on identical configurations and records both in
-//!   `BENCH_perf.json` — the speedup claim is measured against the real
+//! * the `loadgen_storm_legacy` Criterion bench in `venice-bench`, which
+//!   times [`run`] next to the typed engine on the same storm
+//!   configuration — the speedup is measured against the real
 //!   predecessor, not a strawman; and
 //! * the differential tests (`crates/loadgen/tests/prop_typed_vs_legacy.rs`,
-//!   the conformance harness's legacy leg, and the bench bin's own
-//!   report-equality gate), which pin the typed engine to
+//!   including its published storm and elastic-v2 rows, and the
+//!   conformance harness's legacy leg), which pin the typed engine to
 //!   **bit-identical** traces and reports against this code.
 //!
 //! Behavioral changes belong in [`venice_loadgen::engine`]; if one is
@@ -518,10 +518,6 @@ fn issue_with(w: &mut World, s: &mut Scheduler<World>, now: Time, class: usize, 
                 ShedReason::Overload => {
                     st.shed_overload += 1;
                     RequestOutcome::ShedOverload
-                }
-                ShedReason::Backpressure => {
-                    st.shed_backpressure += 1;
-                    RequestOutcome::ShedBackpressure
                 }
             };
             record(

@@ -4,19 +4,19 @@
 //!
 //! The workspace's hot paths all run on the typed event core
 //! ([`venice_sim::SimEvent`] over [`venice_sim::Kernel`]). This
-//! unpublished crate keeps the code that core replaced, unchanged, so the
-//! gates can measure and differentially test against it:
+//! unpublished crate keeps the code that core replaced, unchanged, so
+//! tests can differentially test against it and benches can time it:
 //!
 //! * [`boxed`] — the seed boxed-closure kernel and its `BinaryHeap`
 //!   event queue;
 //! * [`legacy`] — the seed traffic engine running on [`boxed`].
 //!
-//! Only gates depend on this crate: the `throughput` bin in
-//! `venice-bench` (a normal dependency, for the perf baseline and its
-//! report-equality gate) and `venice-loadgen`'s integration tests (a
-//! dev-dependency, for `prop_typed_vs_legacy` and the conformance
-//! harness). No library crate lists it under `[dependencies]`; CI checks
-//! that.
+//! Only tests and benches depend on this crate, and only as a
+//! dev-dependency: `venice-loadgen`'s integration tests
+//! (`prop_typed_vs_legacy` and the conformance harness's legacy leg)
+//! and `venice-bench`'s Criterion pair `loadgen_storm_typed` /
+//! `loadgen_storm_legacy`. No crate lists it under `[dependencies]`; CI
+//! checks that.
 
 pub mod boxed;
 pub mod legacy;

@@ -4,9 +4,10 @@
 //! modeled world (nodes, channels, tables) and `E` is the event type: a
 //! plain enum implementing [`SimEvent`]. Events are scheduled *by value*
 //! — no heap allocation, no virtual dispatch — and fired through a
-//! monomorphic `match`. `BENCH_perf.json` records the measured gap
-//! versus the seed's boxed-closure core, which is kept as a frozen
-//! baseline outside this crate.
+//! monomorphic `match`. The seed's boxed-closure core is kept as a
+//! frozen, test-only baseline outside this crate; `venice-bench`'s
+//! `loadgen_storm_typed`/`loadgen_storm_legacy` Criterion pair measures
+//! the gap.
 //!
 //! The split between [`Kernel`] (owns state, runs the loop) and
 //! [`Scheduler`] (owns the queue and clock) is what lets an event borrow

@@ -60,9 +60,18 @@ pub const STAGE_SERVICE_REMOTE: usize = 6;
 /// Admission-shed reason slots for [`AttribFold::on_shed`].
 pub const SHED_REASONS: usize = 4;
 
-/// Labels for the shed-reason slots (rate limit, overload,
-/// backpressure, node crash — mirroring the engine's `ShedReason`).
+/// Stable shed-reason labels, indexed by the `SHED_*` constants.
 pub const SHED_LABELS: [&str; SHED_REASONS] = ["rate", "overload", "backpressure", "crash"];
+
+/// Shed by the rate policer: the token bucket was empty.
+pub const SHED_RATE: u8 = 0;
+/// Shed by the (priority-scaled) in-flight cap.
+pub const SHED_OVERLOAD: u8 = 1;
+/// Dropped because the node's credit backlog overflowed.
+pub const SHED_BACKPRESSURE: u8 = 2;
+/// Lost to a node crash: the node was down at arrival, or the request
+/// sat in its backlog or service slots when it fail-stopped.
+pub const SHED_CRASH: u8 = 3;
 
 /// One completed request's latency, decomposed into stages.
 ///

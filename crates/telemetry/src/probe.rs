@@ -84,8 +84,8 @@ pub trait Probe {
     /// `node` the server that executed the request.
     fn on_request(&mut self, _tenant: u16, _node: u16, _stages: StageBreakdown) {}
 
-    /// A request was shed before service. `reason` indexes
-    /// [`crate::attrib::SHED_LABELS`].
+    /// A request was shed before service. `reason` is one of the
+    /// `SHED_*` slots of [`crate::attrib::SHED_LABELS`].
     fn on_shed(&mut self, _tenant: u16, _node: u16, _reason: u8, _now: Time) {}
 }
 
