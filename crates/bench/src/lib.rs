@@ -7,8 +7,6 @@
 //! JSON for EXPERIMENTS.md. The Criterion benches under `benches/` time
 //! the scenario generators and the hot substrate paths.
 
-use std::time::Instant;
-
 use venice::Figure;
 use venice_loadgen::scenarios::{self, fault_free, Row, RowRun};
 use venice_loadgen::sweep;
@@ -201,20 +199,13 @@ pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
 /// Schema tag of each block in `BENCH_telemetry.jsonl`.
 pub const TELEMETRY_SCHEMA: &str = "venice-telemetry-v2";
 
-/// Sim-time sampling tick of the probes the `profile` and `explain`
-/// bins thread through their runs.
+/// Sim-time sampling tick of the probes the `profile` bin threads
+/// through its runs.
 pub const PROBE_TICK: Time = Time::from_ms(25);
 
 /// Sample rows the probe ring retains per scenario, so artifact size is
 /// bounded no matter the request count.
 pub const PROBE_RING_CAP: usize = 48;
-
-/// One timed call of `f`: its wall time in milliseconds and its result.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let r = f();
-    (start.elapsed().as_secs_f64() * 1e3, r)
-}
 
 /// Extracts the bare integer value of `"key":<digits>` from a
 /// hand-formatted JSONL line.
@@ -464,6 +455,7 @@ pub fn select(figures: Vec<Figure>, ids: &[String]) -> Vec<Figure> {
 mod tests {
     use super::*;
     use venice_loadgen::scenarios::run_rows;
+    use venice_telemetry::{AttribProbe, RecordingProbe};
 
     #[test]
     fn render_and_json_cover_all_scenarios() {
@@ -505,7 +497,7 @@ mod tests {
             ..venice_loadgen::LoadgenConfig::new(7, venice_loadgen::TenantMix::messaging())
         };
         let block = venice_loadgen::engine::Run::new(&config)
-            .recording(venice_sim::Time::from_ms(2), 64)
+            .probe(RecordingProbe::new(venice_sim::Time::from_ms(2), 64))
             .execute()
             .artifact_jsonl("unit");
         let artifact = format!("{block}{block}");
@@ -531,18 +523,13 @@ mod tests {
             requests: 1_500,
             ..venice_loadgen::LoadgenConfig::new(7, venice_loadgen::TenantMix::messaging())
         };
-        let labels = venice_loadgen::telemetry::tenant_labels(&config);
-        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let fold = venice_loadgen::engine::Run::new(&config)
-            .attrib(venice_sim::Time::from_ms(2), 64)
-            .execute()
-            .attrib_fold();
-        let artifact = venice_telemetry::export_attrib_jsonl(
-            "unit",
-            7,
-            &[("a", &fold), ("b", &fold)],
-            &labels,
-        );
+        let labels: Vec<&str> = config.mix.classes.iter().map(|c| c.name.as_str()).collect();
+        let out = venice_loadgen::engine::Run::new(&config)
+            .probe(AttribProbe::new(venice_sim::Time::from_ms(2), 64))
+            .execute();
+        let fold = out.probe.attrib();
+        let artifact =
+            venice_telemetry::export_attrib_jsonl("unit", 7, &[("a", fold), ("b", fold)], &labels);
         assert_eq!(validate_attrib(&artifact), Vec::<String>::new());
         // Corrupt one cell's total: the artifact-level exact-sum check
         // must fire even though the in-process fold was consistent.

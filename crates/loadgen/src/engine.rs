@@ -3238,6 +3238,51 @@ mod tests {
     }
 
     #[test]
+    fn every_event_kind_maps_to_its_probe_label() {
+        // `EngineEvent::kind` and `EVENT_KIND_LABELS` are two hand-kept
+        // lists: one value of each variant must land on its label.
+        let lease = Cluster::prototype()
+            .borrow_memory(NodeId(0), 64 << 20)
+            .expect("the prototype lends memory");
+        let events = [
+            (EngineEvent::Arrival, "arrival"),
+            (EngineEvent::SessionNext, "session-next"),
+            (EngineEvent::ReplayNext, "replay-next"),
+            (EngineEvent::Finish(0), "finish"),
+            (EngineEvent::LeaseTick, "lease-tick"),
+            (
+                EngineEvent::LeaseEstablished(Box::new(LeaseEstablish {
+                    node: 0,
+                    generation: 1,
+                    lease,
+                    class_tag: NO_TAG,
+                    lat: Time::ZERO,
+                    failover_of: 0,
+                })),
+                "lease-established",
+            ),
+            (
+                EngineEvent::RevokeTorndown(Box::new(RevokeTeardown {
+                    donor: lease.donor.0,
+                    recipient: 0,
+                    generation: 1,
+                    lease,
+                    priority: Priority::Normal,
+                })),
+                "revoke-torndown",
+            ),
+            (EngineEvent::FaultTick, "fault-tick"),
+        ];
+        assert_eq!(events.len(), crate::telemetry::EVENT_KIND_LABELS.len());
+        for (event, label) in &events {
+            assert_eq!(
+                crate::telemetry::EVENT_KIND_LABELS[event.kind() as usize],
+                *label
+            );
+        }
+    }
+
+    #[test]
     fn metered_runs_report_loop_counters_without_changing_the_report() {
         let config = small(13);
         let out = Run::new(&config).execute();

@@ -1,21 +1,17 @@
-//! Telemetry over engine runs: probe presets for the [`Run`] builder
-//! and the `venice-telemetry-v2` artifact.
+//! Telemetry over engine runs: the engine's event-kind labels and the
+//! `venice-telemetry-v2` artifact.
 //!
-//! The engine's probe hooks ([`Run::probe`]) are generic plumbing; this
-//! module binds them to concrete observability: the event-kind labels
-//! for the engine's event enum, [`Run::recording`] / [`Run::attrib`]
-//! presets that arm the two stock probes, and [`RunOutput`] renderers
-//! for the JSONL artifact and the text profile the `venice-bench`
-//! `profile` bin (and the determinism tests) consume. Everything here
-//! inherits the engine's determinism: same config, same artifact, byte
-//! for byte.
+//! The engine's probe hooks ([`Run::probe`](crate::Run::probe)) are
+//! generic plumbing; this module binds a [`RecordingProbe`]'s output to
+//! the event-kind labels of the engine's event enum, through the
+//! [`RunOutput`] renderers for the JSONL artifact and the text profile
+//! the `venice-bench` `profile` bin (and the determinism tests) consume.
+//! Everything here inherits the engine's determinism: same config, same
+//! artifact, byte for byte.
 
-use venice_sim::Time;
-use venice_telemetry::{
-    export_jsonl, render_profile, AttribFold, AttribProbe, NoopProbe, RecordingProbe,
-};
+use venice_telemetry::{export_jsonl, render_profile, RecordingProbe};
 
-use crate::engine::{LoadgenConfig, Run, RunOutput};
+use crate::engine::RunOutput;
 
 /// Human labels for the engine's probe event-kind slots, indexed by the
 /// engine event enum's probe slot (kept in step with
@@ -30,31 +26,6 @@ pub const EVENT_KIND_LABELS: [&str; 8] = [
     "revoke-torndown",
     "fault-tick",
 ];
-
-impl<'c, 't> Run<'c, 't, NoopProbe> {
-    /// Arms a [`RecordingProbe`] sampling every `tick` and retaining
-    /// `cap` rows — the preset behind the telemetry artifact and the
-    /// text profile ([`RunOutput::artifact_jsonl`],
-    /// [`RunOutput::profile_text`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` or `cap` is zero.
-    pub fn recording(self, tick: Time, cap: usize) -> Run<'c, 't, RecordingProbe> {
-        self.probe(RecordingProbe::new(tick, cap))
-    }
-
-    /// Arms an [`AttribProbe`] (per-request latency attribution
-    /// stamping) sampling every `tick` and retaining `cap` rows; fold
-    /// the result with [`RunOutput::attrib_fold`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` or `cap` is zero.
-    pub fn attrib(self, tick: Time, cap: usize) -> Run<'c, 't, AttribProbe> {
-        self.probe(AttribProbe::new(tick, cap))
-    }
-}
 
 impl RunOutput<RecordingProbe> {
     /// Renders the run's `venice-telemetry-v2` JSONL artifact named
@@ -73,25 +44,13 @@ impl RunOutput<RecordingProbe> {
     }
 }
 
-impl RunOutput<AttribProbe> {
-    /// The run's latency-attribution fold. Every completion passed the
-    /// fold's exact-sum gate on the way in, so a fold that comes back
-    /// at all certifies the decomposition.
-    pub fn attrib_fold(&self) -> AttribFold {
-        self.probe.attrib().clone()
-    }
-}
-
-/// The mix's tenant labels in class order, for naming attribution
-/// artifacts.
-pub fn tenant_labels(config: &LoadgenConfig) -> Vec<String> {
-    config.mix.classes.iter().map(|c| c.name.clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{LoadgenConfig, Run};
     use crate::tenants::TenantMix;
+    use venice_sim::Time;
+    use venice_telemetry::AttribProbe;
 
     fn small(seed: u64) -> LoadgenConfig {
         LoadgenConfig {
@@ -104,7 +63,9 @@ mod tests {
     fn probed_report_matches_the_noop_report() {
         let config = small(19);
         let plain = Run::new(&config).execute().report;
-        let probed = Run::new(&config).recording(Time::from_ms(5), 512).execute();
+        let probed: RunOutput<RecordingProbe> = Run::new(&config)
+            .probe(RecordingProbe::new(Time::from_ms(5), 512))
+            .execute();
         assert_eq!(plain, probed.report, "probe perturbed the run");
         assert!(probed.probe.total_events() > 0);
         assert!(
@@ -117,8 +78,10 @@ mod tests {
     #[test]
     fn attrib_fold_accounts_for_every_completion() {
         let config = small(19);
-        let out = Run::new(&config).attrib(Time::from_ms(5), 512).execute();
-        let fold = out.attrib_fold();
+        let out = Run::new(&config)
+            .probe(AttribProbe::new(Time::from_ms(5), 512))
+            .execute();
+        let fold = out.probe.attrib();
         assert_eq!(fold.requests(), out.report.completed);
         // Per-tenant counts reconcile with the report's ledger.
         for (t, tenant) in out.report.tenants.iter().enumerate() {
@@ -131,11 +94,11 @@ mod tests {
     fn artifact_is_stable_across_reruns() {
         let config = small(23);
         let a = Run::new(&config)
-            .recording(Time::from_ms(5), 512)
+            .probe(RecordingProbe::new(Time::from_ms(5), 512))
             .execute()
             .artifact_jsonl("unit");
         let b = Run::new(&config)
-            .recording(Time::from_ms(5), 512)
+            .probe(RecordingProbe::new(Time::from_ms(5), 512))
             .execute()
             .artifact_jsonl("unit");
         assert_eq!(a, b);

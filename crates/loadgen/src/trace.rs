@@ -93,26 +93,6 @@ impl Trace {
         Ok(Trace { records })
     }
 
-    /// Writes the trace to `path` as JSON-lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Reads a JSON-lines trace from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; parse errors surface as
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn read_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<Trace> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_jsonl(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Number of recorded requests.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -172,15 +152,5 @@ mod tests {
         assert_eq!(Trace::from_jsonl(&text).unwrap(), t);
         let err = Trace::from_jsonl("not json\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let t = sample();
-        let path = std::env::temp_dir().join("venice_loadgen_trace_test.jsonl");
-        t.write_jsonl(&path).unwrap();
-        let back = Trace::read_jsonl(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(t, back);
     }
 }

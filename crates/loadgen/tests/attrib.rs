@@ -14,19 +14,19 @@
 //! `telemetry.rs` or `storm.rs`).
 
 use proptest::prelude::*;
-use venice_loadgen::telemetry::tenant_labels;
 use venice_loadgen::{
     elastic, elastic_v2, engine, ArrivalProcess, LoadReport, LoadgenConfig, RemoteStack, TenantMix,
 };
 use venice_sim::Time;
-use venice_telemetry::{export_attrib_jsonl, AttribFold};
+use venice_telemetry::{export_attrib_jsonl, AttribFold, AttribProbe};
 
 /// Builder shorthand used throughout this file: run `config` with the
 /// attribution probe and return the report alongside the fold.
 fn attrib_run(config: &LoadgenConfig, tick: Time, cap: usize) -> (LoadReport, AttribFold) {
-    let out = engine::Run::new(config).attrib(tick, cap).execute();
-    let fold = out.attrib_fold();
-    (out.report, fold)
+    let out = engine::Run::new(config)
+        .probe(AttribProbe::new(tick, cap))
+        .execute();
+    (out.report, out.probe.attrib().clone())
 }
 
 fn attrib_artifact(requests: u64) -> String {
@@ -40,8 +40,7 @@ fn attrib_artifact(requests: u64) -> String {
         c.requests = requests;
         c
     };
-    let labels = tenant_labels(&base);
-    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let labels: Vec<&str> = base.mix.classes.iter().map(|c| c.name.as_str()).collect();
     let tick = Time::from_ms(5);
     let (_, base_fold) = attrib_run(&base, tick, 256);
     let (_, cand_fold) = attrib_run(&cand, tick, 256);

@@ -12,6 +12,7 @@ use venice_loadgen::{
     elastic_v2, engine, scenarios, ArrivalProcess, LoadReport, LoadgenConfig, TenantMix,
 };
 use venice_sim::Time;
+use venice_telemetry::RecordingProbe;
 
 /// Builder shorthand used throughout this file: run `config` recording
 /// and render its artifact named `scenario`.
@@ -21,7 +22,9 @@ fn artifact_run(
     tick: Time,
     cap: usize,
 ) -> (String, LoadReport) {
-    let out = engine::Run::new(config).recording(tick, cap).execute();
+    let out = engine::Run::new(config)
+        .probe(RecordingProbe::new(tick, cap))
+        .execute();
     (out.artifact_jsonl(scenario), out.report)
 }
 
@@ -70,9 +73,9 @@ fn probing_the_predictive_run_does_not_perturb_it() {
     let config = predictive_small();
     let plain = engine::Run::new(&config).execute().report;
     let out = engine::Run::new(&config)
-        .recording(Time::from_ms(5), 256)
+        .probe(RecordingProbe::new(Time::from_ms(5), 256))
         .execute();
-    let probe = out.probe;
+    let probe: RecordingProbe = out.probe;
     assert_eq!(plain, out.report, "probe perturbed the elastic run");
     // Lease activity produced spans, and some leases outlive the run.
     assert!(!probe.spans().closed().is_empty(), "no closed spans");

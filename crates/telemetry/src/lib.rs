@@ -38,7 +38,7 @@
 //! [`report`] renders one or two folds into the `venice-attrib-v1`
 //! JSONL artifact and the differential *explain* text report that names
 //! the stage responsible for a p99 shift between two runs (the
-//! `venice-bench` `explain` bin drives both).
+//! `venice-bench` `profile` bin drives both).
 
 pub mod attrib;
 pub mod export;
