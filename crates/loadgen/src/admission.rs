@@ -127,14 +127,21 @@ impl AdmissionControl {
     }
 
     /// The in-flight cap as seen by `priority` (clamped to
-    /// [`OVER_QUOTA_SHARE`] when the tenant is at its lease quota).
+    /// [`OVER_QUOTA_SHARE`] when the tenant is at its lease quota): the
+    /// floor of the cap times the share, at least 1.
+    ///
+    /// This runs on every arrival, where `f64::floor` is an out-of-line
+    /// library call on the baseline x86-64 target. The product is never
+    /// negative, so the truncating cast floors it exactly and saturates
+    /// as `floor() as u32` does.
+    #[inline]
     fn cap_for(&self, priority: Priority, over_quota: bool) -> u32 {
         let share = if over_quota {
             priority.capacity_share().min(OVER_QUOTA_SHARE)
         } else {
             priority.capacity_share()
         };
-        ((self.config.max_inflight as f64 * share).floor() as u32).max(1)
+        ((self.config.max_inflight as f64 * share) as u32).max(1)
     }
 
     /// Judges an arrival of a `priority`-class request at simulated time
@@ -248,6 +255,35 @@ mod tests {
             ac.on_completion();
         }
         assert_eq!(ac.on_arrival(t, Priority::High, true), Decision::Admit);
+    }
+
+    #[test]
+    fn truncated_caps_equal_the_floor_formula() {
+        // The expression `cap_for` evaluated before its `floor` call
+        // became a truncating cast.
+        fn formula(max_inflight: u32, priority: Priority, over_quota: bool) -> u32 {
+            let share = if over_quota {
+                priority.capacity_share().min(OVER_QUOTA_SHARE)
+            } else {
+                priority.capacity_share()
+            };
+            ((max_inflight as f64 * share).floor() as u32).max(1)
+        }
+        for max_inflight in [0, 1, 7, 256, 4096, u32::MAX] {
+            let ac = AdmissionControl::new(AdmissionConfig {
+                max_inflight,
+                ..AdmissionConfig::default()
+            });
+            for priority in [Priority::Low, Priority::Normal, Priority::High] {
+                for over_quota in [false, true] {
+                    assert_eq!(
+                        ac.cap_for(priority, over_quota),
+                        formula(max_inflight, priority, over_quota),
+                        "{max_inflight} {priority:?} over_quota={over_quota}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,23 @@
 //! -- --workload storm`) measures this engine's host cost; the
 //! `loadgen_storm_typed`/`loadgen_storm_legacy` Criterion pair in
 //! `venice-bench` times the two side by side.
+//!
+//! # One open-loop arrival drawer
+//!
+//! Open-loop (Poisson and bursty) arrivals come from one drawer on the
+//! world, `World::pop_arrival`. It draws [`AHEAD`] arrivals at a time
+//! into a fixed inline buffer, each with the per-arrival sequence the
+//! engine always ran (gap from the previous instant, then class and
+//! user at the new one), so a run consumes the arrival stream in
+//! exactly the order and with exactly the bits it would drawing one
+//! arrival per event. Only the drawer consumes that stream on an
+//! open-loop run, which is what makes drawing ahead of the clock
+//! invisible. The batch keeps the draws' `ln`/`powf` calls together
+//! instead of interleaving them with admission and dispatch. The
+//! sharded front-end behind [`Run::shards`] takes its arrivals from the
+//! same drawer and adds only the service draw, so there is one arrival
+//! draw loop, not one per driver. Closed-loop and replay arrivals do
+//! not use it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -742,6 +759,33 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
     }
 }
 
+/// Open-loop arrivals the engine draws per refill of its draw-ahead
+/// buffer. A fixed property of the engine, not a tuning knob: any
+/// value yields the same bytes, because only the arrival drawer
+/// consumes the open-loop arrival stream.
+pub const AHEAD: usize = 32;
+
+/// One open-loop arrival drawn ahead of the clock: its instant, tenant
+/// class and user.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DrawnArrival {
+    pub(crate) at: Time,
+    pub(crate) class: usize,
+    pub(crate) user: u64,
+}
+
+/// The open-loop arrival drawer's buffer, kept inline in the world (a
+/// heap buffer would show up in every run's peak heap).
+struct DrawAhead {
+    buf: [DrawnArrival; AHEAD],
+    /// Index of the next unconsumed entry of `buf`.
+    next: usize,
+    /// Entries the last refill wrote.
+    len: usize,
+    /// Arrivals drawn so far; the drawer stops at the world's `target`.
+    drawn: u64,
+}
+
 /// Replay input: a borrowed record stream plus a cursor — the trace is
 /// **not** cloned into the world.
 struct ReplayCursor<'a> {
@@ -763,6 +807,10 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// interleave with arrival draws at completion times, which are
     /// stack-dependent.
     rng: SimRng,
+    /// Open-loop arrivals drawn ahead from `rng` in chunks of [`AHEAD`]
+    /// ([`World::pop_arrival`]); untouched on closed-loop, replay and
+    /// shard-worker runs.
+    ahead: DrawAhead,
     /// Service-side randomness: cache hit/miss draws, service jitter.
     service_rng: SimRng,
     classes: Vec<TenantClass>,
@@ -869,7 +917,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
     /// comes from the flash-crowd population instead of the mix's Zipf
     /// tail.
     #[inline]
-    pub(crate) fn draw_class_user(&mut self, now: Time) -> (usize, u64) {
+    fn draw_class_user(&mut self, now: Time) -> (usize, u64) {
         let class = self
             .rng
             .weighted_index_with_total(&self.weights, self.weight_total);
@@ -904,7 +952,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
     /// selection mirrors [`ArrivalProcess::rate_at`] exactly; the
     /// per-phase means were precomputed from the same rates.
     #[inline]
-    pub(crate) fn next_arrival_at(&mut self, now: Time) -> Time {
+    fn next_arrival_at(&mut self, now: Time) -> Time {
         let (base, burst) = self.open_gaps.expect("open loop has a rate");
         let mean = if self.arrival.in_burst(now) {
             burst
@@ -913,6 +961,60 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         };
         let gap = exponential(&mut self.rng, mean);
         now.checked_add(gap).expect("simulated time overflow")
+    }
+
+    /// The open-loop arrival drawer: the next arrival in issue order,
+    /// or `None` once `target` arrivals have been drawn. The sequential
+    /// engine ([`open_arrival`]) and the sharded front-end both take
+    /// their arrivals here.
+    #[inline]
+    pub(crate) fn pop_arrival(&mut self) -> Option<DrawnArrival> {
+        let next = self.peek_arrival()?;
+        self.ahead.next += 1;
+        Some(next)
+    }
+
+    /// The arrival [`World::pop_arrival`] returns next, drawing a chunk
+    /// when the buffer is spent.
+    #[inline]
+    fn peek_arrival(&mut self) -> Option<DrawnArrival> {
+        if self.ahead.next == self.ahead.len {
+            if self.ahead.drawn == self.target {
+                return None;
+            }
+            self.refill_arrivals();
+        }
+        Some(self.ahead.buf[self.ahead.next])
+    }
+
+    /// Draws the next up-to-[`AHEAD`] open-loop arrivals into the spent
+    /// buffer, stopping at `target`. Each arrival runs the per-arrival
+    /// sequence unchanged: a gap from the previous arrival's instant
+    /// (none before the first, which lands at zero), then the class
+    /// and user at the new instant. Only this drawer consumes `rng` on
+    /// an open-loop run, and a bursty phase depends only on the
+    /// stream's own instants, so drawing ahead of the clock leaves
+    /// every draw's bits and order as drawing on demand would. Running
+    /// a chunk's `ln`/`powf` calls back to back, away from the branchy
+    /// admit and dispatch code, is what makes it cheaper. It runs once
+    /// per chunk, so it stays out of line and the handlers stay small.
+    #[inline(never)]
+    fn refill_arrivals(&mut self) {
+        let mut prev = self.ahead.len.checked_sub(1).map(|i| self.ahead.buf[i].at);
+        let mut len = 0;
+        while len < AHEAD && self.ahead.drawn < self.target {
+            let at = match prev {
+                Some(prev) => self.next_arrival_at(prev),
+                None => Time::ZERO,
+            };
+            let (class, user) = self.draw_class_user(at);
+            self.ahead.buf[len] = DrawnArrival { at, class, user };
+            self.ahead.drawn += 1;
+            prev = Some(at);
+            len += 1;
+        }
+        self.ahead.next = 0;
+        self.ahead.len = len;
     }
 
     /// Turns this world into a shard worker: it draws no traffic and
@@ -947,6 +1049,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
 /// Called only under `if P::ENABLED`, and never from the no-op path —
 /// sampling piggybacks on events the kernel was executing anyway, so
 /// the probed event stream is the unprobed one, exactly.
+#[inline]
 fn pulse<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -968,18 +1071,30 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
     pending: usize,
     slab_live: usize,
 ) -> SampleRow {
-    let nodes = w
+    let mut nodes: Vec<NodeGauges> = w
         .servers
         .iter()
-        .enumerate()
-        .map(|(i, srv)| NodeGauges {
+        .map(|srv| NodeGauges {
             depth: srv.backlog.len() as u32,
             inflight: srv.inflight_by_class.iter().sum(),
-            borrowed: w.cluster.borrowed_bytes_of(NodeId(i as u16)),
-            lent: w.cluster.lent_bytes_of(NodeId(i as u16)),
-            subleased: w.cluster.subleased_bytes_of(NodeId(i as u16)),
+            ..NodeGauges::default()
         })
         .collect();
+    // Byte positions in one pass over the cluster's ledgers: the same
+    // sums as its per-node `*_bytes_of` queries, which each rescan them
+    // (nodes × leases × chains per sample, the largest probe cost on
+    // lease-heavy runs). Grant ids are unique on the ledger, so each
+    // sublease chain's grant has exactly one recipient.
+    let active = w.cluster.active_leases();
+    for lease in active {
+        nodes[lease.recipient.0 as usize].borrowed += lease.bytes;
+        nodes[lease.donor.0 as usize].lent += lease.bytes;
+    }
+    for chain in w.cluster.active_subleases() {
+        if let Some(lease) = active.iter().find(|l| l.grant_id == chain.grant_id) {
+            nodes[lease.recipient.0 as usize].subleased += lease.bytes;
+        }
+    }
     // Denials accumulate incrementally: only timeline entries recorded
     // since the previous sample are scanned, keeping a sample O(new
     // events) instead of O(whole run) — the full-scan version showed up
@@ -1032,24 +1147,33 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// Open-loop arrival event: issue one request, schedule the next at the
-/// process's instantaneous rate (constant for Poisson, phase-dependent
-/// for bursty traffic).
+// The per-request handlers (`open_arrival` through `finish`, and the
+// probe's `pulse`) carry `#[inline]`: the engine's generic instances
+// are compiled in the calling crate and split across its codegen
+// units, and without the hint whether `admit` or `dispatch` inlined
+// into the event `match` depended on that split, so the same source
+// ran at different speeds in different binaries.
+
+/// Open-loop arrival event: issue the drawer's next request, then
+/// schedule (or fuse) the one after it at its pre-drawn instant (the
+/// gap drawn at the process's instantaneous rate: constant for Poisson,
+/// phase-dependent for bursty traffic).
+#[inline]
 fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
 ) {
-    let mut now = s.now();
     loop {
-        issue(w, s, now);
-        if w.issued >= w.target {
+        let DrawnArrival { at, class, user } =
+            w.pop_arrival().expect("a scheduled arrival was drawn");
+        debug_assert_eq!(at, s.now(), "arrival fired off its drawn instant");
+        issue_with(w, s, at, class, user);
+        let Some(next) = w.peek_arrival() else {
+            return;
+        };
+        if !fuse_arrival(w, s, next.at, EngineEvent::Arrival) {
             return;
         }
-        let at = w.next_arrival_at(now);
-        if !fuse_arrival(w, s, at, EngineEvent::Arrival) {
-            return;
-        }
-        now = at;
     }
 }
 
@@ -1196,6 +1320,7 @@ fn issue<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// survivor then decides the request's fate. Only when every node is
 /// down does the home stand (the caller sheds the request as a crash
 /// loss before admission).
+#[inline]
 fn route<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &World<'_, P, M, F>,
     class: usize,
@@ -1232,6 +1357,7 @@ fn route<P: Probe, M: RemoteModel, F: FaultModel>(
 }
 
 /// Routes one generated request and runs it through admission.
+#[inline]
 fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -1246,6 +1372,7 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// Runs one request routed to `node` through per-node admission and
 /// dispatch, drawing an admitted request's service time (and cache-miss
 /// flag) through `service`. Returns whether admission let it in.
+#[inline]
 fn admit<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -1408,6 +1535,7 @@ fn record<P: Probe, M: RemoteModel, F: FaultModel>(
 
 /// Sends an admitted request toward its node, or parks it under
 /// backpressure. `slot` indexes the request slab.
+#[inline]
 fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -1440,17 +1568,15 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 Time::ZERO
             };
             let deliver = now + srv.msg_lat_by_class[req.class as usize];
-            let best_slot = {
-                let slots = &srv.slots;
-                let mut best = 0;
-                for (i, &t) in slots.iter().enumerate() {
-                    if t < slots[best] {
-                        best = i;
-                    }
+            // The earliest-free service slot in one pass, carrying the
+            // running minimum; the first of tied slots wins.
+            let (mut best_slot, mut free_at) = (0, srv.slots[0]);
+            for (i, &t) in srv.slots.iter().enumerate().skip(1) {
+                if t < free_at {
+                    (best_slot, free_at) = (i, t);
                 }
-                best
-            };
-            let start = deliver.max(srv.slots[best_slot]);
+            }
+            let start = deliver.max(free_at);
             let comp = start + req.service + fab;
             srv.slots[best_slot] = comp;
             srv.inflight_by_class[req.class as usize] += 1;
@@ -1480,6 +1606,7 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 
 /// Completion event: account the request, return the credit, and drain
 /// the node's backlog.
+#[inline]
 fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -2578,6 +2705,12 @@ pub(crate) fn build_world<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     World {
         probe,
         rng: engine_rng,
+        ahead: DrawAhead {
+            buf: [DrawnArrival::default(); AHEAD],
+            next: 0,
+            len: 0,
+            drawn: 0,
+        },
         service_rng,
         classes: config.mix.classes.clone(),
         weight_total: config.mix.weights().iter().sum(),

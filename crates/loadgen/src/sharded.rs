@@ -17,11 +17,13 @@
 //!
 //! For such a run the driver splits the work in two phases:
 //!
-//! 1. **Front-end (sequential):** one engine world draws the arrival
-//!    stream through the engine's own draw functions — same two
-//!    insulated RNG streams, same draw order (class, user, service, gap
-//!    per arrival) — and bins each request to the shard owning its home
-//!    node (`user % nodes`, the static-scalar routing rule).
+//! 1. **Front-end (sequential):** one engine world takes the arrival
+//!    stream from the engine's own open-loop drawer — the one the
+//!    sequential engine issues from, drawing ahead in chunks of
+//!    [`AHEAD`](crate::engine::AHEAD) — and adds only each request's
+//!    service draw from the insulated service stream. Each request is
+//!    binned to the shard owning its home node (`user % nodes`, the
+//!    static-scalar routing rule).
 //! 2. **Workers (parallel):** each shard runs the engine's `World` over
 //!    its slice — the engine's own admission, dispatch and finish
 //!    handlers and its arrival fusion, with the slice as the arrival
@@ -66,7 +68,7 @@ use venice_telemetry::{NoopProbe, Probe};
 
 use crate::arrival::ArrivalProcess;
 use crate::engine::{
-    build_world, run_full, run_world, summarize, EngineMetrics, LoadgenConfig, World,
+    build_world, run_full, run_world, summarize, DrawnArrival, EngineMetrics, LoadgenConfig, World,
 };
 use crate::faults::{FaultPlan, NoFaults};
 use crate::remote::{RemoteModelCfg, ScalarCrma};
@@ -217,7 +219,7 @@ pub(crate) fn run_sharded(
         .collect();
 
     // Phase A — the sequential front-end, drawn by the first world.
-    let slices = front_end(&mut worlds[0], config.requests, &ranges);
+    let slices = front_end(&mut worlds[0], &ranges);
 
     // Phase B — parallel workers over their slices.
     let nodes = config.nodes() as usize;
@@ -251,24 +253,19 @@ pub(crate) fn run_sharded(
     Some((report, trace, metrics))
 }
 
-/// Phase A: draws all `requests` arrivals in the sequential engine's
-/// order — class, user, service, gap per arrival, through `w`'s own
-/// draw functions — and bins each to the shard owning its home node.
+/// Phase A: takes every arrival from `w`'s open-loop drawer (the one
+/// the sequential engine issues from), draws its service time from the
+/// service stream, and bins it to the shard owning its home node.
 fn front_end(
     w: &mut World<'_, NoopProbe, ScalarCrma, NoFaults>,
-    requests: u64,
     ranges: &[Range<u16>],
 ) -> Vec<Vec<PreRequest>> {
     let shard_of: Vec<usize> = (0..ranges.len())
         .flat_map(|i| ranges[i].clone().map(move |_| i))
         .collect();
     let mut slices = vec![Vec::new(); ranges.len()];
-    let mut at = Time::ZERO;
-    for seq in 0..requests {
-        if seq > 0 {
-            at = w.next_arrival_at(at);
-        }
-        let (class, user) = w.draw_class_user(at);
+    let mut seq = 0;
+    while let Some(DrawnArrival { at, class, user }) = w.pop_arrival() {
         // Static scalar routing: always the home node.
         let node = (user % shard_of.len() as u64) as usize;
         let (service, _) = w.draw_service(node, class);
@@ -280,6 +277,7 @@ fn front_end(
             node: node as u16,
             service,
         });
+        seq += 1;
     }
     slices
 }

@@ -205,3 +205,64 @@ fn published_storm_and_elastic_v2_rows_agree_across_every_engine() {
     }
     assert_eq!(labels.len(), 5, "rows covered: {labels:?}");
 }
+
+#[test]
+fn open_loop_runs_agree_at_draw_ahead_chunk_edges() {
+    // The typed engine draws open-loop arrivals ahead in chunks of
+    // `engine::AHEAD`; the legacy oracle draws each one on demand.
+    // Request counts that end just inside, exactly at and just past a
+    // chunk boundary (and a single request, which never refills) must
+    // draw the same stream, sequentially and sharded.
+    let ahead = engine::AHEAD as u64;
+    for requests in [1, ahead - 1, ahead, ahead + 1, 3 * ahead + 5] {
+        for (i, mix) in TenantMix::presets().into_iter().enumerate() {
+            let config = LoadgenConfig {
+                arrival: ArrivalProcess::OpenPoisson {
+                    rate_rps: 120_000.0,
+                },
+                requests,
+                ..LoadgenConfig::new(0xC4E0 + i as u64, mix)
+            };
+            let (report, _) = Conformance::new(&config).legacy().assert_engines_agree();
+            assert_eq!(report.issued, requests, "{} x{requests}", config.mix.name);
+        }
+    }
+}
+
+#[test]
+fn bursty_runs_agree_when_a_burst_edge_falls_inside_a_chunk() {
+    // A burst window switches both the gap mean and the user draw
+    // (in-burst arrivals may come from the flash crowd, which draws
+    // extra values) at an instant that lands inside a draw-ahead chunk.
+    // The drawer decides each arrival's phase from the stream's own
+    // instants, so the draws match the legacy oracle's on-demand ones.
+    let arrival = ArrivalProcess::Bursty {
+        base_rps: 20_000.0,
+        burst_rps: 200_000.0,
+        period: Time::from_ms(2),
+        burst_len: Time::from_us(500),
+        crowd_users: 4,
+        crowd_share: 0.5,
+    };
+    let config = LoadgenConfig {
+        arrival,
+        requests: 400,
+        ..LoadgenConfig::new(0xB0E5, TenantMix::web_frontend())
+    };
+    let (_, trace) = Conformance::new(&config).legacy().assert_engines_agree();
+    let ahead = engine::AHEAD;
+    let flips_inside_a_chunk = trace
+        .records
+        .windows(2)
+        .enumerate()
+        .filter(|(i, pair)| {
+            (i + 1) % ahead != 0
+                && arrival.in_burst(Time::from_ns(pair[0].at_ns))
+                    != arrival.in_burst(Time::from_ns(pair[1].at_ns))
+        })
+        .count();
+    assert!(
+        flips_inside_a_chunk > 0,
+        "no burst edge fell between two arrivals of one chunk"
+    );
+}

@@ -150,7 +150,16 @@ impl Time {
         Time(ps.round() as u64)
     }
 
-    /// Scales the time by a dimensionless factor.
+    /// Scales the time by a dimensionless factor, rounding the product
+    /// to the nearest picosecond (halves away from zero) and saturating
+    /// at [`Time::MAX`].
+    ///
+    /// The rounding is integer arithmetic equal to `f64::round` on
+    /// every finite non-negative product, not a call to it: this sits
+    /// on the per-request path (gap and service draws), where `round`
+    /// is an out-of-line library call on the baseline x86-64 target.
+    /// The truncating cast saturates as `round() as u64` does, and
+    /// `x - trunc(x)` is exact, so the half test is exact too.
     ///
     /// # Panics
     ///
@@ -158,7 +167,9 @@ impl Time {
     #[inline]
     pub fn scale(self, f: f64) -> Time {
         assert!(f.is_finite() && f >= 0.0, "invalid scale factor {f}");
-        Time((self.0 as f64 * f).round() as u64)
+        let x = self.0 as f64 * f;
+        let t = x as u64;
+        Time(t.saturating_add((x - t as f64 >= 0.5) as u64))
     }
 
     /// Ratio of two durations as `f64`; returns 0 when `rhs` is zero.
@@ -285,6 +296,52 @@ mod tests {
         assert_eq!(t.scale(1.5), Time::from_ns(300));
         assert!((t.ratio(Time::from_ns(100)) - 2.0).abs() < 1e-12);
         assert_eq!(t.ratio(Time::ZERO), 0.0);
+    }
+
+    /// `scale`'s integer rounding equals `f64::round` (saturating) on
+    /// the inputs where a hand-rolled rounding can go wrong: zero and
+    /// subnormals, exact halves and their one-ulp neighbours, the
+    /// binades where `f64` stops carrying fractions (2^52, 2^53), the
+    /// `u64` edges (2^63, 2^64) and products beyond `u64::MAX`.
+    #[test]
+    fn scale_rounds_exactly_like_f64_round() {
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut xs = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            down(f64::MIN_POSITIVE),
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            1e30,
+            f64::MAX,
+        ];
+        for k in [
+            0.0,
+            1.0,
+            2.0,
+            3.0,
+            1e6,
+            123_456_789.0,
+            2f64.powi(51),
+            2f64.powi(52) - 1.0,
+        ] {
+            let half = k + 0.5;
+            xs.extend([down(half), half, up(half), k, up(k)]);
+        }
+        for p in [52, 53, 63, 64, 65] {
+            let x = 2f64.powi(p);
+            xs.extend([down(x), x, up(x)]);
+        }
+        for x in xs {
+            assert_eq!(
+                Time::from_ps(1).scale(x),
+                Time(x.round() as u64),
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

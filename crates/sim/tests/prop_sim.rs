@@ -83,6 +83,37 @@ proptest! {
         prop_assert!(t.as_secs_f64() >= 0.0);
     }
 
+    /// `Time::scale`'s integer rounding equals `f64::round` (with the
+    /// saturating cast) on any finite non-negative product, on exact
+    /// halves `k + 0.5` and their one-ulp neighbours, and on the
+    /// products the engine's hot path forms: a picosecond mean gap or
+    /// service time (up to 10 ms) times an exponential draw's
+    /// `-ln(1 - u)` or a service jitter factor in [0.9, 1.1).
+    #[test]
+    fn scale_rounds_like_f64_round(
+        bits in any::<u64>(),
+        k in 0u64..(1 << 52),
+        ps in 1u64..10_000_000_000,
+        u in 0.0f64..1.0,
+    ) {
+        let half = k as f64 + 0.5;
+        let x = f64::from_bits(bits >> 1); // sign bit clear
+        let around_half = [
+            f64::from_bits(half.to_bits() - 1),
+            half,
+            f64::from_bits(half.to_bits() + 1),
+        ];
+        for x in around_half.into_iter().chain([x]).filter(|x| x.is_finite()) {
+            prop_assert_eq!(Time::from_ps(1).scale(x), Time::from_ps(x.round() as u64));
+        }
+        let base = Time::from_ps(ps);
+        let u = u.min(1.0 - 1e-12);
+        for f in [-(1.0 - u).ln(), 0.9 + 0.2 * u] {
+            let want = Time::from_ps((ps as f64 * f).round() as u64);
+            prop_assert_eq!(base.scale(f), want, "ps = {}, f = {:e}", ps, f);
+        }
+    }
+
     /// Saturating subtraction never underflows and ordinary addition is
     /// monotone.
     #[test]
